@@ -10,24 +10,24 @@ Tarjan/refinement inner loops.  This bench measures the end-to-end claim
 on the million-state families of
 :func:`repro.workloads.large_scaling_suite`:
 
-* **baseline vs batched wall clock** — ``explore`` with the value plane
-  disabled (``REPRO_VALUE_PLANE=0``: exactly the PR 5 serial path) vs the
-  value-plane coordinator (``n_jobs=2``; on a single-core machine its
-  rounds stay serial but *batched*, which is where the speedup lives —
-  on multi-core it additionally fans out over shm).  Each configuration
-  runs in a fresh child process (clean caches, own RSS high-water mark).
-* **digest identity across all three wire formats** — serial baseline,
-  forced sharded-pickled (``REPRO_FORCE_PARALLEL=1`` with the plane off)
-  and forced sharded-shm (plane on) must produce bit-identical
-  :func:`~repro.engine.shard.graph_digest` values.
+* **baseline vs batched wall clock** — plain serial ``explore``
+  (``n_jobs=None``: the state-major BFS every system without a value
+  plane takes) vs the value-plane round explorer (``n_jobs=2``; on a
+  single-core machine its rounds stay in-process but *batched*, which is
+  where the speedup lives — on multi-core it additionally fans out over
+  shm).  Each configuration runs in a fresh child process (clean caches,
+  own RSS high-water mark).
+* **digest identity across every path** — serial baseline, batched
+  rounds and forced sharded-shm (``REPRO_FORCE_PARALLEL=1``) must produce
+  bit-identical :func:`~repro.engine.shard.graph_digest` values.
 * **zero leaked segments** — every child scans ``/dev/shm`` for
   ``repro-shm*`` after its run and the parent re-scans at the end; any
   surviving segment fails the bench.
 
 Gates (full scale, recorded in the verdict): batched ≥ 1.5× baseline on
-at least one family, digests identical, zero leaks.  The forced-parallel
-digest columns are measured once (they exist for identity, not speed —
-on one core a forced pool round is pure overhead).  The shm-path run
+at least one family, digests identical, zero leaks.  The forced-shm column is
+measured once (it exists for identity, not speed — on one core a forced
+pool round is pure overhead).  The shm-path run
 also records the ``shm.*`` / ``batch.*`` telemetry counters so the JSON
 shows the data plane actually engaged.  ``ENGINE_BENCH_SMOKE=1`` shrinks
 the workloads to CI size.  Rows land in ``BENCH_shm.json``.
@@ -86,8 +86,8 @@ def _family_system(family: str):
 def _child_explore(family: str, n_jobs, instrument: bool = False):
     """Explore ``family`` in this (child) process; self-reported metrics.
 
-    The wire format (value plane on/off, forced parallel) is selected by
-    the environment the child was launched with, so its own pool workers
+    The path is selected by ``n_jobs`` and the environment the child was
+    launched with (forced parallel or not), so its own pool workers
     inherit it.  ``instrument`` additionally collects telemetry so the
     row can record the ``shm.*``/``batch.*`` counters.
     """
@@ -167,10 +167,8 @@ def _in_fresh_child(family: str, n_jobs, env, instrument: bool = False):
 # The experiment
 # ---------------------------------------------------------------------------
 
-#: The three wire formats under test (label → (env, n_jobs)).
-BASELINE_ENV = {"REPRO_VALUE_PLANE": "0"}
+#: Environment of the forced sharded-shm configuration.
 SHM_FORCED_ENV = {"REPRO_FORCE_PARALLEL": "1"}
-PICKLED_FORCED_ENV = {"REPRO_VALUE_PLANE": "0", "REPRO_FORCE_PARALLEL": "1"}
 
 
 def _measure_config(family: str, n_jobs, env, repeats=REPEATS,
@@ -201,28 +199,24 @@ def _measure_config(family: str, n_jobs, env, repeats=REPEATS,
 
 def test_e18_shm_kernels():
     table = Table(
-        "E18 — zero-copy data plane vs PR 5 baseline "
+        "E18 — zero-copy data plane vs serial explore "
         f"({'smoke sizes' if SMOKE else 'full sizes'}, {CORES} cores)",
         ["workload", "states", "baseline s", "batched s", "speedup",
-         "shm s", "pickled s", "identical", "leaks"],
+         "shm s", "identical", "leaks"],
     )
     rows = []
     speedups = {}
     for name, _factory in large_scaling_suite(SCALE):
-        baseline = _measure_config(name, None, BASELINE_ENV)
+        baseline = _measure_config(name, None, {})
         batched = _measure_config(name, 2, {})
-        # The forced columns exist for wire-format identity, not speed —
-        # one run each; the shm one is the instrumented one.
+        # The forced column exists for wire-format identity, not speed —
+        # one instrumented run.
         shm_forced = _measure_config(
             name, 2, SHM_FORCED_ENV, repeats=1, instrument=True
-        )
-        pickled_forced = _measure_config(
-            name, 2, PICKLED_FORCED_ENV, repeats=1
         )
         for label, config in (
             ("batched", batched),
             ("sharded-shm", shm_forced),
-            ("sharded-pickled", pickled_forced),
         ):
             assert config["digest"] == baseline["digest"], (
                 f"{name}: {label} graph differs from the serial baseline"
@@ -246,7 +240,6 @@ def test_e18_shm_kernels():
             f"{batched['seconds']:.3f}",
             f"{speedup:.2f}x",
             f"{shm_forced['seconds']:.3f}",
-            f"{pickled_forced['seconds']:.3f}",
             "yes",
             "none",
         )
@@ -259,7 +252,6 @@ def test_e18_shm_kernels():
             "batched_seconds": batched["seconds"],
             "speedup": speedup,
             "shm_forced_seconds": shm_forced["seconds"],
-            "pickled_forced_seconds": pickled_forced["seconds"],
             "peak_rss_kb": batched["peak_rss_kb"],
             "baseline_peak_rss_kb": baseline["peak_rss_kb"],
             "shm_counters": shm_forced["counters"],
@@ -276,6 +268,7 @@ def test_e18_shm_kernels():
         if name.startswith(GATE_PREFIXES)
     }
     gate_applies = not SMOKE
+    best_gate = max(gate_candidates.values())
     OUTPUT.write_text(json.dumps({
         "experiment": "E18",
         "scale": SCALE,
@@ -290,11 +283,15 @@ def test_e18_shm_kernels():
             "speedup_gate_applies": gate_applies,
             "speedup_gate_reason": None if gate_applies else "smoke scale",
             "min_speedup_required": MIN_SPEEDUP if gate_applies else None,
+            "speedup_gate_met": (
+                best_gate >= MIN_SPEEDUP if gate_applies else None
+            ),
             "note": (
-                "batched column = value-plane coordinator at n_jobs=2; on a "
-                "single-core machine its rounds run serial-batched (no pool), "
-                "so the speedup isolates the kernel batching itself; "
-                "peak_rss_kb is max(RUSAGE_SELF, RUSAGE_CHILDREN)"
+                "baseline column = serial explore (n_jobs=None); batched "
+                "column = value-plane rounds at n_jobs=2; on a single-core "
+                "machine its rounds run serial-batched (no pool), so the "
+                "speedup isolates the kernel batching itself; peak_rss_kb "
+                "is max(RUSAGE_SELF, RUSAGE_CHILDREN)"
             ),
         },
         "rows": rows,
@@ -302,9 +299,8 @@ def test_e18_shm_kernels():
 
     assert not parent_leaks, f"shm segments leaked: {parent_leaks}"
     if gate_applies:
-        best_gate = max(gate_candidates.values())
         assert best_gate >= MIN_SPEEDUP, (
-            f"batched data plane is only {best_gate:.2f}x the PR 5 baseline "
+            f"batched data plane is only {best_gate:.2f}x serial explore "
             f"on {sorted(gate_candidates)} (need {MIN_SPEEDUP}x on at "
             "least one)"
         )

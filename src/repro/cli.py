@@ -66,12 +66,12 @@ def _explore(args: argparse.Namespace, program: Program):
         from repro.engine.graphstore import last_outcome
 
         outcome = last_outcome()
-        detail = {
-            "migrated": "hit, migrated from v1",
-            "incremental": (
+        if outcome.kind == "incremental":
+            detail = (
                 f"miss, incremental: {outcome.reused_states} states replayed"
-            ),
-        }.get(outcome.kind, "hit" if hit else "miss")
+            )
+        else:
+            detail = "hit" if hit else "miss"
         print(f"graph cache: {detail} ({args.cache_dir})")
     return graph
 
@@ -314,9 +314,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             max_violations=1 if args.fail_fast else None,
         )
     else:
-        result = proof.check(
-            max_states=args.max_states, max_depth=args.max_depth, n_jobs=args.jobs
-        )
+        result = proof.check(graph=_explore(args, program), n_jobs=args.jobs)
     print(f"{program.name} with {args.assertion}: {result.summary()}")
     print(_engine_footer(args))
     if getattr(result, "stopped_early", False):

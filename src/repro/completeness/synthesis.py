@@ -440,31 +440,3 @@ def process_regions(
             witness,
         ) from None
     return regions
-
-
-def _process_region(
-    graph: ReachableGraph,
-    region: List[int],
-    level: int,
-    requirements: Sequence[FairnessRequirement],
-    entries: Dict[int, List[Hypothesis]],
-) -> RegionInfo:
-    """Assign hypotheses inside one strongly connected region (state-level
-    compatibility entry point).
-
-    Builds the indexed context for the *whole* graph and delegates; raises
-    :class:`NotFairlyTerminatingError` like the seed implementation did.
-    Callers with several regions should use :func:`process_regions`, which
-    shares one context across all of them.
-    """
-    ctx = _build_context(graph, requirements)
-    try:
-        return _process_region_indexed(list(region), level, ctx, entries)
-    except _RegionUnfair as unfair:
-        witness = find_generally_fair_cycle(graph, requirements)
-        raise NotFairlyTerminatingError(
-            f"region of {unfair.region_size} states fulfils every demanded "
-            "requirement internally — it hosts a fair cycle, so the program "
-            "does not fairly terminate",
-            witness,
-        ) from None

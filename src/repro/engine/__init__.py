@@ -15,16 +15,18 @@ index-native:
   and **adaptive dispatch** (small work demotes to serial, so ``--jobs N``
   never loses to the serial path), used by ``check_measure``,
   ``synthesize_measure`` and the benchmark sweeps;
-* :mod:`repro.engine.shard` — hash-sharded frontier-parallel exploration
-  over the persistent pool, bit-identical to the serial BFS by
-  construction (CLI ``--jobs`` on ``explore``/``decide``/``synthesize``);
+* :mod:`repro.engine.shard` — value-plane round exploration: batched
+  BFS rounds over flat int64 state rows, hash-sharded over the persistent
+  pool through shared memory (:mod:`repro.engine.shm`) when a round is
+  wide, bit-identical to the serial BFS by construction (CLI ``--jobs``;
+  systems without a value plane explore serially);
 * :mod:`repro.engine.graphstore` — an optional cross-run content-addressed
   on-disk store of explored graphs: columns as SHA-256-addressed binary
   chunks under small per-``(program, bounds, jobs)`` manifests, mmap-backed
   zero-copy warm loads, incremental re-exploration that replays unchanged
   commands of an edited program from the stored columns (bit-identical to
-  a cold run), legacy v1 JSON migration, and LRU eviction with
-  chunk reference counting (CLI ``--cache-dir`` / ``--cache-max-mb``);
+  a cold run), and LRU eviction with chunk reference counting (CLI
+  ``--cache-dir`` / ``--cache-max-mb``);
 * :mod:`repro.engine.reference` — the pre-engine algorithms, preserved
   verbatim as the "before" baseline for benchmarks and as an independent
   oracle for equivalence tests.

@@ -1,16 +1,10 @@
 """Content-addressed incremental graph store (the disk cache, format v2).
 
-The v1 disk cache (PR 2's ``engine/diskcache.py``) serialized each explored
-:class:`~repro.ts.explore.ReachableGraph` as one whole-graph JSON document
-keyed on the full canonical program text.  That shape has two costs that
-dominate real re-verification traffic:
-
-* a warm hit on a million-state family re-parses hundreds of megabytes of
-  JSON and rebuilds every per-state/per-transition Python object;
-* **any** one-line edit to the program changes the key and invalidates the
-  entire entry — nothing is reused across near-identical programs.
-
-This module replaces it with a content-addressed binary store:
+The store keeps explored :class:`~repro.ts.explore.ReachableGraph` columns
+on disk so repeated runs skip exploration, and so a one-line edit of a
+program reuses everything the edit did not touch.  Files of the retired
+whole-graph JSON format (``graph-*.json``) are unknown files to this
+module — never read, never evicted.
 
 **Chunks** — the graph's columns (interned state values, ``src``/``cmd``/
 ``dst`` transition columns, enabled bitmasks) are written as raw little
@@ -58,13 +52,11 @@ bench — while the follow-up publish reuses every chunk whose content
 survived the edit.
 
 Eviction (:func:`evict_cache`, CLI ``--cache-max-mb``) trims the
-directory to a size budget in least-recently-used order over *entries*
-(manifests and legacy v1 ``graph-*.json`` files both count toward the
-budget); chunks are reference-counted and deleted when their last
-manifest goes, and loading a manifest mtime-touches its chunks so shared
-chunks of hot graphs survive.  Unknown files in the cache directory are
-ignored, never fatal.  Legacy v1 entries are migrated on first use:
-a v1 hit is re-published in v2 format and the JSON entry deleted.
+directory to a size budget in least-recently-used order over manifests;
+chunks are reference-counted and deleted when their last manifest goes,
+and loading a manifest mtime-touches its chunks so shared chunks of hot
+graphs survive.  Unknown files in the cache directory are ignored, never
+fatal.
 """
 
 from __future__ import annotations
@@ -89,8 +81,8 @@ from repro.telemetry import events
 if False:  # typing only — ts.explore imports this package, keep it lazy
     from repro.ts.explore import ReachableGraph
 
-#: On-disk format version.  v1 was the whole-graph JSON cache; entries in
-#: that layout are migrated (or evicted), never silently misread.
+#: On-disk format version, recorded in (and checked against) every
+#: manifest and mixed into every key, so a layout change is a clean miss.
 FORMAT_VERSION = 2
 
 #: Default chunk size, in 8-byte words (8 MiB chunks).  Small enough that
@@ -213,8 +205,8 @@ class CacheOutcome:
     """What the last :func:`explore_with_cache` call in this process did.
 
     ``kind`` is one of ``"bypass"`` (no cache directory / uncacheable
-    system), ``"hit"`` (warm mmap load), ``"migrated"`` (legacy v1 entry
-    re-published as v2), ``"incremental"`` (chunk-reusing re-exploration
+    system), ``"hit"`` (warm mmap load), ``"incremental"`` (chunk-reusing
+    re-exploration
     from a family base) or ``"cold"`` (full exploration).  The chunk
     counters describe the *publish* that followed a miss; ``reused_states``
     counts states whose expansion was replayed from the base graph.
@@ -1003,165 +995,6 @@ def explore_incremental(
 
 
 # ---------------------------------------------------------------------------
-# Legacy v1 entries (whole-graph JSON): migration + baseline
-# ---------------------------------------------------------------------------
-
-#: The v1 format version (whole-graph JSON, ``graph-<key>.json``).
-V1_FORMAT_VERSION = 1
-
-
-def v1_cache_key(
-    program: Program,
-    max_states: Optional[int] = None,
-    max_depth: Optional[int] = None,
-    n_jobs: Optional[int] = None,
-) -> str:
-    """The exact key the v1 cache would have used (for migration/tests)."""
-    from repro.engine.parallel import resolve_jobs
-
-    payload = json.dumps(
-        {
-            "format": V1_FORMAT_VERSION,
-            "program": render_program(program.ast),
-            "max_states": max_states,
-            "max_depth": max_depth,
-            "jobs": resolve_jobs(n_jobs),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _v1_entry_path(cache_dir: os.PathLike, key: str) -> Path:
-    return Path(cache_dir) / f"graph-{key}.json"
-
-
-def store_graph_v1(
-    graph: "ReachableGraph", cache_dir: os.PathLike, key: str
-) -> Path:
-    """Write a legacy v1 whole-graph JSON entry (migration tests, E19)."""
-    program = graph.system
-    if not isinstance(program, Program):
-        raise TypeError(
-            f"only Program graphs are cacheable, got {type(program).__name__}"
-        )
-    names = program.variable_names
-    labels = list(program.commands())
-    label_slot = {label: i for i, label in enumerate(labels)}
-    payload = {
-        "format": V1_FORMAT_VERSION,
-        "key": key,
-        "program": program.name,
-        "names": list(names),
-        "commands": labels,
-        "states": [list(state.values) for state in graph.states],
-        "transitions": [
-            [t.source, label_slot[t.command], t.target]
-            for t in graph.transitions
-        ],
-        "enabled": [
-            sorted(label_slot[c] for c in graph.enabled_at(i))
-            for i in range(len(graph))
-        ],
-        "initial_count": len(graph.initial_indices),
-        "frontier": sorted(graph.frontier),
-    }
-    directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    target = _v1_entry_path(directory, key)
-    handle, temp_path = tempfile.mkstemp(
-        dir=directory, prefix=".graph-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, separators=(",", ":"))
-        os.replace(temp_path, target)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-    return target
-
-
-def load_graph_v1(
-    program: Program, cache_dir: os.PathLike, key: str
-) -> Optional["ReachableGraph"]:
-    """Reload a legacy v1 entry (full JSON parse and object rebuild)."""
-    from repro.ts.explore import IndexedTransition, ReachableGraph
-
-    path = _v1_entry_path(cache_dir, key)
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            payload = json.load(stream)
-    except (OSError, ValueError):
-        return None
-    try:
-        if payload["format"] != V1_FORMAT_VERSION or payload["key"] != key:
-            return None
-        names = tuple(payload["names"])
-        labels = payload["commands"]
-        if names != program.variable_names or tuple(labels) != program.commands():
-            return None
-        states = [
-            ProgramState(names, tuple(values)) for values in payload["states"]
-        ]
-        transitions = [
-            IndexedTransition(source, labels[slot], target)
-            for source, slot, target in payload["transitions"]
-        ]
-        enabled = [
-            frozenset(labels[slot] for slot in slots)
-            for slots in payload["enabled"]
-        ]
-        return ReachableGraph(
-            system=program,
-            states=states,
-            transitions=transitions,
-            enabled=enabled,
-            initial_count=payload["initial_count"],
-            frontier=payload["frontier"],
-        )
-    except (KeyError, IndexError, TypeError, ValueError):
-        return None
-
-
-def migrate_v1_entry(
-    program: Program,
-    cache_dir: os.PathLike,
-    v1_key: str,
-    v2_key: str,
-    family: Optional[str] = None,
-) -> Optional["ReachableGraph"]:
-    """Re-publish a legacy v1 entry in v2 format and delete the original.
-
-    Returns the migrated graph (a hit), or ``None`` when no readable v1
-    entry exists.  An unreadable/corrupt v1 entry is deleted rather than
-    re-parsed forever.
-    """
-    path = _v1_entry_path(cache_dir, v1_key)
-    if not path.exists():
-        return None
-    graph = load_graph_v1(program, cache_dir, v1_key)
-    if graph is None:
-        # Present but unusable: delete so the slot stops costing budget.
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        telemetry.count("graphstore.corrupt")
-        return None
-    store_graph(graph, cache_dir, v2_key, family=family)
-    try:
-        path.unlink()
-    except OSError:
-        pass
-    telemetry.count("graphstore.migrated")
-    return graph
-
-
-# ---------------------------------------------------------------------------
 # Eviction
 # ---------------------------------------------------------------------------
 
@@ -1173,8 +1006,8 @@ def evict_cache(
     """Trim the cache directory to ``max_mb`` megabytes, LRU first.
 
     Everything the store may contain counts toward the budget: manifests,
-    the chunks they reference, *legacy v1* ``graph-*.json`` entries and
-    orphaned chunks.  Eviction removes whole entries oldest-mtime-first
+    the chunks they reference and orphaned chunks.  Eviction removes
+    whole entries oldest-mtime-first
     (loads touch the mtimes of a manifest and its chunks, so mtime order
     is recency order); a manifest's chunks are deleted when their last
     referencing manifest goes.  Orphaned chunks older than
@@ -1189,7 +1022,6 @@ def evict_cache(
     budget = int(max_mb * 1024 * 1024)
     directory = Path(cache_dir)
     manifests: List[Tuple[float, str, Path, int, List[str]]] = []
-    legacy: List[Tuple[float, str, Path, int]] = []
     chunk_sizes: Dict[str, int] = {}
     chunk_mtimes: Dict[str, float] = {}
     refs: Dict[str, set] = {}
@@ -1226,9 +1058,6 @@ def evict_cache(
             chunk_sizes[digest] = stat.st_size
             chunk_mtimes[digest] = stat.st_mtime
             total += stat.st_size
-        elif name.startswith("graph-") and name.endswith(".json"):
-            legacy.append((stat.st_mtime, name, path, stat.st_size))
-            total += stat.st_size
         # Anything else (temp files, user debris) is not ours to delete.
 
     removed: List[Path] = []
@@ -1261,20 +1090,11 @@ def evict_cache(
             continue
         _remove(_chunk_path(directory, digest), size)
 
-    entries: List[Tuple[float, str, Path, int, Optional[List[str]]]] = [
-        (mtime, name, path, size, digests)
-        for mtime, name, path, size, digests in manifests
-    ] + [
-        (mtime, name, path, size, None)
-        for mtime, name, path, size in legacy
-    ]
-    entries.sort()  # oldest first; name breaks mtime ties deterministically
-    for _, name, path, size, digests in entries:
+    manifests.sort()  # oldest first; name breaks mtime ties deterministically
+    for _, name, path, size, digests in manifests:
         if total <= budget:
             break
         _remove(path, size)
-        if digests is None:
-            continue
         for digest in digests:
             holders = refs.get(digest)
             if holders is not None:
@@ -1310,14 +1130,12 @@ def explore_with_cache(
 
     1. an exact-key **manifest hit** memory-maps the stored columns and
        skips exploration entirely;
-    2. a legacy **v1 entry** under the v1 key is migrated to v2 (one last
-       JSON parse) and counts as a hit;
-    3. a same-family manifest with shared command digests seeds
+    2. a same-family manifest with shared command digests seeds
        **incremental re-exploration** — unchanged commands replay from
        the mapped base columns, edited ones re-evaluate — bit-identical
        to a cold run;
-    4. otherwise a **cold** exploration runs (sharded across ``n_jobs``
-       workers when requested).
+    3. otherwise a **cold** exploration runs (in value-plane rounds across
+       ``n_jobs`` workers when requested).
 
     Misses publish their result (chunks deduplicated against the store)
     and — when ``cache_max_mb`` is set — trim the cache LRU-first.
@@ -1375,17 +1193,6 @@ def _explore_with_cache(
     cached = load_cached_graph(program, cache_dir, key)
     if cached is not None:
         return cached, True
-    migrated = migrate_v1_entry(
-        program,
-        cache_dir,
-        v1_cache_key(program, max_states, max_depth, n_jobs),
-        key,
-        family=family_key(program, max_states, max_depth, n_jobs),
-    )
-    if migrated is not None:
-        _LAST_OUTCOME = CacheOutcome(kind="migrated")
-        evict_cache(cache_dir, cache_max_mb)
-        return migrated, True
     graph = None
     base = find_incremental_base(
         program, cache_dir, max_states, max_depth, n_jobs

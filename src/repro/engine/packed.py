@@ -79,14 +79,26 @@ class CommandTable:
         return result
 
 
+def _as_array(column):
+    """``column`` as a picklable ``array('q')`` (memoryviews are copied)."""
+    if isinstance(column, memoryview):
+        copy = array("q")
+        copy.frombytes(column.cast("B"))
+        return copy
+    return column
+
+
 class PackedGraph:
     """CSR view of an indexed transition list.
 
     ``src``/``cmd``/``dst`` are parallel columns over transition ids;
     ``out_start``/``out_eid`` give, per source state, the ids of its
     outgoing transitions in original order.  The structure is plain data
-    (arrays of ints) and pickles cheaply, so parallel workers can receive
-    sub-problems without dragging unpicklable systems or closures along.
+    (arrays of ints), so parallel workers can receive sub-problems without
+    dragging unpicklable systems or closures along.  Columns adopted from
+    the graph store's mmap warm path are ``memoryview`` casts, which cannot
+    pickle; :meth:`__reduce__` ships every column as an ``array('q')``
+    copy instead (one bulk byte copy per column).
     """
 
     __slots__ = ("n", "src", "cmd", "dst", "out_start", "out_eid")
@@ -149,6 +161,19 @@ class PackedGraph:
             out_eid[cursor[s]] = eid
             cursor[s] += 1
         return PackedGraph(n, src, cmd, dst, out_start, out_eid)
+
+    def __reduce__(self):
+        return (
+            PackedGraph,
+            (
+                self.n,
+                _as_array(self.src),
+                _as_array(self.cmd),
+                _as_array(self.dst),
+                _as_array(self.out_start),
+                _as_array(self.out_eid),
+            ),
+        )
 
     def __len__(self) -> int:
         return len(self.src)

@@ -1,12 +1,12 @@
-"""Hash-sharded frontier-parallel exploration, bit-identical to serial BFS.
+"""Value-plane round exploration, bit-identical to serial BFS.
 
 **Why this is possible at all.**  The serial explorer
 (:func:`repro.ts.explore.explore`) pops its queue in first-discovery order,
 so states are expanded in ascending intern-index order, level by level: the
 states discovered in BFS round ``r`` occupy a contiguous index range and
 are all expanded — with identical budget/depth bookkeeping — before any
-state of round ``r + 1``.  Expansion itself (``system.expand``) is a *pure*
-function of the state.  So exploration factors into
+state of round ``r + 1``.  Expansion itself is a *pure* function of the
+state.  So exploration factors into
 
 1. an embarrassingly parallel part — computing ``(enabled, posts)`` for
    every state of the current round — and
@@ -14,22 +14,24 @@ function of the state.  So exploration factors into
    indices, recording transitions, and applying ``max_states`` /
    ``max_depth`` / ``strict`` accounting.
 
-This module parallelises (1) and replays (2) verbatim: each round, the
-pending states are partitioned by ``hash(state) % n_shards``, every worker
-in the persistent pool (:mod:`repro.engine.parallel`) expands its shard and
-sends back successor batches (states deduplicated per shard, command labels
-encoded against the coordinator's label table), and the coordinator merges
-the batches **in pending order, posts order** — exactly the order the
-serial loop would have seen them.  State indices, transition order,
-enabled masks, frontier sets and :class:`ExplorationLimitError` behaviour
-are therefore bit-identical to the serial path; the differential tests in
-``tests/engine/test_shard.py`` enforce this for 1/2/4 shards on complete
-and bounded exploration of every workload family.
+This module batches (1) and replays (2) verbatim for systems that expose a
+*value plane* (:meth:`~repro.ts.system.TransitionSystem.value_plane`):
+states travel as flat int64 rows.  Each round runs the batched guard/body
+kernels over the pending rows — in-process for narrow rounds, or
+hash-sharded over the persistent pool (:mod:`repro.engine.parallel`) with
+the hot columns published once through shared memory
+(:mod:`repro.engine.shm`), so a worker task is just an index array.  The
+coordinator merges the results **in pending order, posts order** — exactly
+the order the serial loop would have seen them.  State indices, transition
+order, enabled masks, frontier sets, observer events and
+:class:`ExplorationLimitError` behaviour are therefore bit-identical to the
+serial path; the differential tests in ``tests/engine/test_shard.py``
+enforce this for 1/2/4 jobs on complete and bounded exploration of every
+workload family.  Systems without a plane explore serially.
 
-Workers receive the system once as a picklable *shard spec*
-(:meth:`~repro.ts.system.TransitionSystem.shard_spec`) and cache the
-rebuilt instance process-locally, so per-round traffic is states in,
-``(mask, posts)`` batches out.
+Workers receive the plane once as its pickled spec
+(:meth:`~repro.gcl.program.ProgramValuePlane.spec`) and cache the rebuilt
+instance process-locally.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import os
 import pickle
 import time
 from array import array
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine import shm
 from repro.engine.interning import StateInterner
@@ -47,18 +49,14 @@ from repro.engine.parallel import _FORCE_ENV, parallel_map, resolve_jobs
 from repro.telemetry import core as telemetry
 from repro.telemetry import events
 
-#: Set to ``0`` to disable the value-plane/shared-memory exploration path
-#: and restore the object-pickling coordinator for every system (rollback
-#: and the benchmark baseline column).
-VALUE_PLANE_ENV = "REPRO_VALUE_PLANE"
-
 #: Rounds with fewer pending states than this are expanded in-process: the
-#: per-round pool round-trip (pickle states out, results back) costs more
-#: than expanding a narrow BFS level locally.  ``REPRO_FORCE_PARALLEL=1``
-#: overrides, so tests can push single-state rounds through the pool.
+#: per-round pool round-trip (publish columns, index arrays out, flat
+#: result arrays back) costs more than expanding a narrow BFS level
+#: locally.  ``REPRO_FORCE_PARALLEL=1`` overrides, so tests can push
+#: single-state rounds through the pool.
 SHARD_ROUND_CUTOFF = 2048
 
-#: Worker-process cache of rebuilt systems, keyed by spec digest.  Workers
+#: Worker-process cache of rebuilt planes, keyed by spec digest.  Workers
 #: are long-lived (the pool persists), so a multi-round exploration — or a
 #: sequence of explorations of the same system — unpickles the spec once.
 _WORKER_SYSTEMS: Dict[str, object] = {}
@@ -70,52 +68,6 @@ def _shard_system(digest: str, spec: bytes):
         system = pickle.loads(spec)
         _WORKER_SYSTEMS[digest] = system
     return system
-
-
-def _expand_shard(task):
-    """Expand one shard of a BFS round (runs in a worker process).
-
-    ``task`` is ``(digest, spec, labels, states)``.  Returns
-    ``(results, targets)`` where ``targets`` is the shard's deduplicated
-    successor batch and ``results[k]`` is, for ``states[k]``::
-
-        (enabled_mask, stray_enabled_labels, ((cmd_ref, target_ref), ...))
-
-    ``enabled_mask`` is over ``labels`` (the coordinator's table snapshot);
-    commands not yet in it travel as literal strings.  ``target_ref``
-    indexes ``targets`` — interning back to global state indices happens in
-    the coordinator, in serial order.
-    """
-    digest, spec, labels, shard_states = task
-    system = _shard_system(digest, spec)
-    # Worker-side counters; aggregated back to the coordinator's registry
-    # by the pool's delta collection at the round boundary.
-    telemetry.count("shard.states_expanded", len(shard_states))
-    ids = {label: k for k, label in enumerate(labels)}
-    targets: List[object] = []
-    ref_of: Dict[object, int] = {}
-    results = []
-    for state in shard_states:
-        enabled, posts = system.expand(state)
-        mask = 0
-        strays: Tuple[str, ...] = ()
-        for label in enabled:
-            k = ids.get(label)
-            if k is None:
-                strays += (label,)
-            else:
-                mask |= 1 << k
-        encoded = []
-        for command, target in posts:
-            ref = ref_of.get(target)
-            if ref is None:
-                ref = len(targets)
-                ref_of[target] = ref
-                targets.append(target)
-            encoded.append((ids.get(command, command), ref))
-        results.append((mask, strays, tuple(encoded)))
-    telemetry.count("shard.posts", sum(len(r[2]) for r in results))
-    return results, targets
 
 
 def _round_dispatch(jobs: int, pending_count: int) -> Tuple[int, str]:
@@ -138,366 +90,11 @@ def _round_dispatch(jobs: int, pending_count: int) -> Tuple[int, str]:
     return jobs, "parallel"
 
 
-def _round_workers(jobs: int, pending_count: int) -> int:
-    """Back-compat wrapper: the worker count from :func:`_round_dispatch`."""
-    return _round_dispatch(jobs, pending_count)[0]
-
-
-def value_plane_of(system):
-    """The system's value plane, unless disabled via the environment."""
-    if os.environ.get(VALUE_PLANE_ENV) == "0":
-        return None
-    getter = getattr(system, "value_plane", None)
-    if getter is None:
-        return None
-    return getter()
-
-
-def explore_sharded(
-    system,
-    spec: bytes,
-    max_states: Optional[int] = None,
-    max_depth: Optional[int] = None,
-    strict: bool = False,
-    n_jobs: Optional[int] = None,
-    observer=None,
-):
-    """Frontier-parallel BFS exploration; results bit-identical to serial.
-
-    Called by :func:`repro.ts.explore.explore` when ``n_jobs > 1`` and the
-    system provided a shard ``spec``; not normally invoked directly.
-    ``observer`` callbacks fire during the serial merge — in exactly the
-    serial explorer's event order — and a :class:`StopExploration` raised
-    by one cancels the round loop, so no further round is dispatched to
-    the worker pool.
-    """
-    from repro.ts.explore import StopExploration, _finish_graph, _stop_counters
-
-    jobs = resolve_jobs(n_jobs)
-
-    plane = value_plane_of(system)
-    if plane is not None:
-        prepared = _prepare_value_rounds(system, plane)
-        if prepared is not None:
-            return _explore_rounds_values(
-                system,
-                plane,
-                prepared,
-                max_states=max_states,
-                max_depth=max_depth,
-                strict=strict,
-                jobs=jobs,
-                observer=observer,
-            )
-
-    digest = hashlib.sha256(spec).hexdigest()
-
-    interner = StateInterner()
-    states = interner.states
-    for s in system.initial_states():
-        interner.intern(s)
-    initial_count = len(states)
-    if initial_count == 0:
-        raise ValueError("system has no initial states")
-
-    labels: List[str] = list(system.commands())
-    label_ids: Dict[str, int] = {label: k for k, label in enumerate(labels)}
-    src = array("q")
-    cmd = array("q")
-    dst = array("q")
-    emask_of: List[int] = [-1] * initial_count
-    expanded = bytearray(initial_count)
-    frontier: Set[int] = set()
-    truncated = False
-    stopped = False
-
-    pending: List[int] = list(range(initial_count))
-    round_depth = 0
-    traced = telemetry.enabled()
-    progress = telemetry.progress_reporter()
-    round_events = events.round_ticker()
-    # Shared mask → frozenset memo for ``on_expanded`` notifications.
-    mask_labels: Dict[int, frozenset] = {}
-
-    if observer is not None:
-        try:
-            for idx in range(initial_count):
-                observer.on_state(idx, states[idx], 0)
-        except StopExploration:
-            stopped = True
-            pending = []
-
-    while pending:
-        if max_depth is not None and round_depth > max_depth:
-            # Every pending state sits at the same BFS depth — the depth
-            # bound cuts the whole round, exactly as the serial loop marks
-            # each of these states frontier when it pops them.
-            frontier.update(pending)
-            truncated = True
-            break
-
-        workers, dispatch = _round_dispatch(jobs, len(pending))
-        if traced:
-            telemetry.count("shard.rounds")
-            telemetry.count(
-                "shard.parallel_rounds" if workers > 1 else "shard.serial_rounds"
-            )
-            if workers <= 1:
-                telemetry.count(f"shard.serial_round.{dispatch}")
-            telemetry.observe("shard.round_pending", len(pending))
-        if progress is not None:
-            progress.maybe(len(states), len(pending), round_depth)
-        round_events.tick(
-            round_depth, len(pending), len(states), workers, dispatch
-        )
-        round_span = telemetry.span(
-            "shard_round",
-            round=round_depth,
-            pending=len(pending),
-            workers=workers,
-        )
-        with round_span:
-            if workers > 1:
-                round_results = _expand_round_parallel(
-                    digest, spec, labels, states, pending, workers
-                )
-            else:
-                round_results = _expand_round_serial(
-                    system, label_ids, states, pending
-                )
-            merge_started = time.perf_counter() if traced else 0.0
-
-            next_pending, truncated, stopped = _merge_round(
-                pending,
-                round_results,
-                interner,
-                states,
-                labels,
-                label_ids,
-                src,
-                cmd,
-                dst,
-                emask_of,
-                expanded,
-                frontier,
-                truncated,
-                max_states,
-                observer,
-                round_depth + 1,
-                mask_labels,
-            )
-            if traced:
-                telemetry.observe(
-                    "shard.merge_s", time.perf_counter() - merge_started
-                )
-        if stopped:
-            # StopExploration during the merge: pending states of this
-            # round that were not merged yet stay unexpanded (they become
-            # frontier), and no further round reaches the pool.
-            break
-        pending = next_pending
-        round_depth += 1
-
-    if stopped:
-        _stop_counters(len(states))
-    if progress is not None:
-        progress.close()
-    return _finish_graph(
-        system=system,
-        interner=interner,
-        labels=labels,
-        label_ids=label_ids,
-        src=src,
-        cmd=cmd,
-        dst=dst,
-        emask_of=emask_of,
-        expanded=expanded,
-        frontier=frontier,
-        initial_count=initial_count,
-        truncated=truncated,
-        strict=strict,
-        max_states=max_states,
-        max_depth=max_depth,
-    )
-
-
-def _merge_round(
-    pending,
-    round_results,
-    interner,
-    states,
-    labels,
-    label_ids,
-    src,
-    cmd,
-    dst,
-    emask_of,
-    expanded,
-    frontier,
-    truncated,
-    max_states,
-    observer=None,
-    successor_depth=0,
-    mask_labels=None,
-):
-    """The serial merge of one round's expansion batches.
-
-    Replays the serial explorer's interning/budget bookkeeping verbatim
-    (the bit-identity argument lives here); factored out of the round
-    loop so the coordinator can time it separately from expansion.
-    Observer callbacks fire here, in the serial event order; a
-    :class:`StopExploration` raised by one stops the merge mid-state
-    (the in-flight state reverts to unexpanded unless the stop came from
-    its own ``on_expanded``).  Returns ``(next_pending, truncated,
-    stopped)``.
-    """
-    from repro.ts.explore import StopExploration
-
-    next_pending: List[int] = []
-    i = -1
-    finalized = -1
-    try:
-        for i, (mask, strays, posts, targets) in zip(pending, round_results):
-            expanded[i] = 1
-            for label in strays:
-                k = label_ids.get(label)
-                if k is None:
-                    k = len(labels)
-                    label_ids[label] = k
-                    labels.append(label)
-                mask |= 1 << k
-            emask_of[i] = mask
-            at_budget = max_states is not None and len(states) >= max_states
-            for cmd_ref, target_ref in posts:
-                target = targets[target_ref]
-                if at_budget:
-                    j = interner.lookup(target)
-                    if j is None:
-                        frontier.add(i)
-                        truncated = True
-                        break
-                else:
-                    j, is_new = interner.intern(target)
-                    if is_new:
-                        emask_of.append(-1)
-                        expanded.append(0)
-                        next_pending.append(j)
-                        at_budget = (
-                            max_states is not None and len(states) >= max_states
-                        )
-                        if observer is not None:
-                            observer.on_state(j, target, successor_depth)
-                if isinstance(cmd_ref, int):
-                    k = cmd_ref
-                else:
-                    k = label_ids.get(cmd_ref)
-                    if k is None:
-                        k = len(labels)
-                        label_ids[cmd_ref] = k
-                        labels.append(cmd_ref)
-                src.append(i)
-                cmd.append(k)
-                dst.append(j)
-                if observer is not None:
-                    observer.on_transition(i, labels[k], j)
-            else:
-                if observer is not None:
-                    enabled_set = mask_labels.get(mask)
-                    if enabled_set is None:
-                        mask_labels[mask] = enabled_set = frozenset(
-                            labels[b]
-                            for b in range(mask.bit_length())
-                            if (mask >> b) & 1
-                        )
-                    finalized = i
-                    observer.on_expanded(i, enabled_set)
-    except StopExploration:
-        if i >= 0 and i != finalized and expanded[i]:
-            expanded[i] = 0
-        return next_pending, truncated, True
-    return next_pending, truncated, False
-
-
-def _expand_round_serial(system, label_ids, states, pending):
-    """In-process expansion of one round, in the parallel path's encoding."""
-    # Same counters as ``_expand_shard``, so per-path totals agree no
-    # matter how each round was dispatched.
-    telemetry.count("shard.states_expanded", len(pending))
-    results = []
-    for i in pending:
-        enabled, posts = system.expand(states[i])
-        mask = 0
-        strays: Tuple[str, ...] = ()
-        for label in enabled:
-            k = label_ids.get(label)
-            if k is None:
-                strays += (label,)
-            else:
-                mask |= 1 << k
-        targets: List[object] = []
-        ref_of: Dict[object, int] = {}
-        encoded = []
-        for command, target in posts:
-            ref = ref_of.get(target)
-            if ref is None:
-                ref = len(targets)
-                ref_of[target] = ref
-                targets.append(target)
-            encoded.append((label_ids.get(command, command), ref))
-        results.append((mask, strays, tuple(encoded), targets))
-    telemetry.count("shard.posts", sum(len(r[2]) for r in results))
-    return results
-
-
-def _expand_round_parallel(digest, spec, labels, states, pending, workers):
-    """Shard one round by state hash and fan it out over the pool.
-
-    Returns per-pending-state ``(mask, strays, posts, targets)`` in pending
-    order — shard assignment affects only *where* a state is expanded,
-    never the merge order, so the result is independent of the hash
-    function and of ``workers``.
-    """
-    shards: List[List[int]] = [[] for _ in range(workers)]
-    for i in pending:
-        shards[hash(states[i]) % workers].append(i)
-    occupied = [shard for shard in shards if shard]
-    if telemetry.enabled():
-        for shard in occupied:
-            telemetry.observe("shard.shard_size", len(shard))
-    labels_snapshot = tuple(labels)
-    tasks = [
-        (digest, spec, labels_snapshot, [states[i] for i in shard])
-        for shard in occupied
-    ]
-    outs = parallel_map(_expand_shard, tasks, n_jobs=workers)
-
-    per_state: Dict[int, tuple] = {}
-    for shard, (results, targets) in zip(occupied, outs):
-        for i, (mask, strays, posts) in zip(shard, results):
-            per_state[i] = (mask, strays, posts, targets)
-    return [per_state[i] for i in pending]
-
-
-# ---------------------------------------------------------------------------
-# Value-plane rounds: the zero-copy data plane
-# ---------------------------------------------------------------------------
-#
-# Systems exposing a value plane (:meth:`TransitionSystem.value_plane`)
-# explore through flat int64 rows instead of state objects: the coordinator
-# interns *value tuples*, keeps the packed columns live, and — when a round
-# goes parallel — publishes them once through a shared-memory arena
-# (:mod:`repro.engine.shm`) so each worker task is just an index array.
-# Serial rounds call the batched kernels directly on the local rows, which
-# is where the batching win lands even without a pool.  The merge replays
-# the object path's bookkeeping statement for statement, so graphs are
-# bit-identical across all three paths (serial, pickled-sharded, shm).
-
-
 def _prepare_value_rounds(system, plane):
     """Validate that ``system`` can explore through ``plane``.
 
     Returns ``(plane_spec, initial_states, labels, label_ids, kmap)`` or
-    ``None`` to fall back to the object path.  ``kmap`` translates plane
+    ``None`` to fall back to serial exploration.  ``kmap`` translates plane
     command indices to coordinator label-table ids (the identity for
     programs, where both sides are declaration order — but checked, never
     assumed).
@@ -519,19 +116,37 @@ def _prepare_value_rounds(system, plane):
     return plane_spec, initial, labels, label_ids, kmap
 
 
-def _explore_rounds_values(
+def explore_sharded(
     system,
     plane,
-    prepared,
-    max_states,
-    max_depth,
-    strict,
-    jobs,
-    observer,
+    max_states: Optional[int] = None,
+    max_depth: Optional[int] = None,
+    strict: bool = False,
+    n_jobs: Optional[int] = None,
+    observer=None,
 ):
-    """Round-based exploration over the value plane (shm when parallel)."""
-    from repro.ts.explore import StopExploration, _finish_graph, _stop_counters
+    """Round-based BFS over ``plane`` (shm when parallel); bit-identical
+    to serial.
 
+    Called by :func:`repro.ts.explore.explore` when ``n_jobs > 1`` and the
+    system has a value plane; not normally invoked directly.  A plane that
+    cannot drive this system (:func:`_prepare_value_rounds` refuses) falls
+    back to the serial explorer.  ``observer`` callbacks fire during the
+    serial merge — in exactly the serial explorer's event order — and a
+    :class:`StopExploration` raised by one cancels the round loop, so no
+    further round is dispatched to the worker pool.
+    """
+    from repro.ts.explore import (
+        StopExploration,
+        _explore_serial,
+        _finish_graph,
+        _stop_counters,
+    )
+
+    prepared = _prepare_value_rounds(system, plane)
+    if prepared is None:
+        return _explore_serial(system, max_states, max_depth, strict, observer)
+    jobs = resolve_jobs(n_jobs)
     plane_spec, initial, labels, label_ids, kmap = prepared
     digest = hashlib.sha256(plane_spec).hexdigest()
     width = plane.width
@@ -742,12 +357,14 @@ def _merge_round_values(
     mask_labels=None,
     row_masks=None,
 ):
-    """:func:`_merge_round` for value-plane rounds.
+    """The serial merge of one round's expansion results.
 
-    Same statement order, same budget bookkeeping, same observer events,
-    same :class:`StopExploration` revert rule — only the successor lookup
-    changes (value tuple instead of state object; a state object is built
-    exactly once, when a row is genuinely new).
+    Replays the serial explorer's interning/budget bookkeeping statement
+    for statement (the bit-identity argument lives here): same budget
+    checks, same observer events, same :class:`StopExploration` revert
+    rule — only the successor lookup changes (value tuple instead of state
+    object; a state object is built exactly once, when a row is genuinely
+    new).  Returns ``(next_pending, truncated, stopped)``.
 
     ``row_masks`` (optional) maps successor value rows to guards-only
     plane masks from this round's batch; when present and the observer
@@ -939,8 +556,8 @@ def _expand_round_values_parallel(
     """
     shards: List[List[int]] = [[] for _ in range(workers)]
     for i in pending:
-        # Same assignment as the object path: ProgramState hashes on its
-        # value tuple, so ``hash(row)`` equals ``hash(states[i])``.
+        # Shard by row hash; the assignment only decides *where* a state
+        # is expanded, never the merge order.
         shards[hash(value_rows[i]) % workers].append(i)
     occupied = [shard for shard in shards if shard]
     if telemetry.enabled():

@@ -146,7 +146,7 @@ class Program(TransitionSystem):
         self._cache_hits = 0
         self._cache_misses = 0
 
-    # -- pickling / sharding ----------------------------------------------
+    # -- pickling ----------------------------------------------------------
 
     def __getstate__(self):
         # Compiled closures and the successor cache do not travel; the
@@ -157,24 +157,13 @@ class Program(TransitionSystem):
     def __setstate__(self, state) -> None:
         self.__init__(state["ast"], compiled=state["compiled"])
 
-    def shard_spec(self) -> bytes | None:
-        """Programs ship as their pickled AST (closures are recompiled
-        worker-side); see :meth:`TransitionSystem.shard_spec`."""
-        import pickle
-
-        try:
-            return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return None
-
     def value_plane(self) -> Optional[ProgramValuePlane]:
         """The packed value plane of a compiled program.
 
         ``None`` for interpreted programs (no closures to batch), for
         programs without variables (no rows to pack) and for programs
         with more than 64 commands (enabled masks must fit one machine
-        word on the shared-memory plane) — those take the object-level
-        exploration paths unchanged.
+        word on the shared-memory plane) — those explore serially.
         """
         if (
             self._compiled is None

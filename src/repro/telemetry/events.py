@@ -120,8 +120,8 @@ EXPLORE_SUMMARY = EventKind(
 )
 GRAPHSTORE_OUTCOME = EventKind(
     "graphstore.outcome",
-    "explore_with_cache resolved: outcome kind (bypass/hit/migrated/"
-    "incremental/cold) and the chunk reuse/write accounting.",
+    "explore_with_cache resolved: outcome kind (bypass/hit/incremental/"
+    "cold) and the chunk reuse/write accounting.",
 )
 POOL_SPINUP = EventKind(
     "parallel.pool_spinup",

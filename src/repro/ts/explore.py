@@ -18,15 +18,15 @@ lazily as views when object-level callers ask for them.  Per-state enabled
 sets are stored as command bitmasks over an interned label table, shared
 with the cached engine analyses (:attr:`ReachableGraph.analyses`).
 
-``explore(..., n_jobs=N)`` with ``N > 1`` dispatches to the hash-sharded
-frontier-parallel explorer (:mod:`repro.engine.shard`) when the system can
-be shipped to workers (:meth:`TransitionSystem.shard_spec`); results are
-bit-identical to the serial path by construction and by differential test.
+``explore(..., n_jobs=N)`` with ``N > 1`` dispatches to the value-plane
+round explorer (:mod:`repro.engine.shard`) when the system has a value
+plane (:meth:`TransitionSystem.value_plane`); every other system explores
+serially.  Results are bit-identical to the serial path by construction
+and by differential test.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -213,7 +213,7 @@ class ReachableGraph:
         frontier: Iterable[int],
         index: Dict[State, int] | None = None,
     ) -> None:
-        # Object-level construction path (disk cache, hand-built graphs):
+        # Object-level construction path (hand-built graphs):
         # convert to the packed column form the graph actually stores.
         labels = list(system.commands())
         ids = {label: k for k, label in enumerate(labels)}
@@ -582,11 +582,12 @@ def explore(
         If true, raise :class:`ExplorationLimitError` when a bound truncates
         exploration instead of returning an incomplete graph.
     n_jobs:
-        With ``n_jobs > 1`` (or ``-1`` for all cores) and a system that can
-        be shipped to workers (:meth:`TransitionSystem.shard_spec`),
-        exploration is hash-sharded across the persistent worker pool; the
-        result is bit-identical to the serial path.  Systems without a
-        shard spec fall back to serial exploration.
+        With ``n_jobs > 1`` (or ``-1`` for all cores) and a system with a
+        value plane (:meth:`TransitionSystem.value_plane`), exploration
+        runs in batched BFS rounds, hash-sharded across the persistent
+        worker pool when a round is wide enough; the result is
+        bit-identical to the serial path.  Systems without a plane explore
+        serially.
     observer:
         An :class:`ExplorationObserver` receiving streaming callbacks on
         state discovery, transition emission and state completion, with
@@ -653,40 +654,25 @@ def _explore_dispatch(
     n_jobs: int | None,
     observer: ExplorationObserver | None = None,
 ) -> ReachableGraph:
-    """Serial-vs-sharded dispatch (the pre-telemetry body of ``explore``)."""
+    """Serial-vs-value-rounds dispatch (the pre-telemetry body of
+    ``explore``): value-plane systems asked for ``n_jobs > 1`` take the
+    batched rounds, everything else the serial BFS."""
     if n_jobs is not None:
-        from repro.engine.parallel import _FORCE_ENV, resolve_jobs
+        from repro.engine.parallel import resolve_jobs
 
-        jobs = resolve_jobs(n_jobs)
-        # On a single core every round would be demoted to in-process
-        # execution anyway, but the sharded coordinator's encode/merge
-        # framing is not free — skip it entirely so ``--jobs N`` never
-        # loses to serial (the force env keeps tests on the sharded path).
-        # Value-plane systems are the exception: their round loop expands
-        # through the batched kernels, which beat the serial per-state
-        # path with or without a pool, so they always take the
-        # coordinator when parallelism was requested.
-        multicore = (os.cpu_count() or 1) > 1
-        forced = os.environ.get(_FORCE_ENV) == "1"
-        use_coordinator = multicore or forced
-        if jobs > 1 and not use_coordinator:
-            from repro.engine.shard import value_plane_of
+        plane = system.value_plane() if resolve_jobs(n_jobs) > 1 else None
+        if plane is not None:
+            from repro.engine.shard import explore_sharded
 
-            use_coordinator = value_plane_of(system) is not None
-        if jobs > 1 and use_coordinator:
-            spec = system.shard_spec()
-            if spec is not None:
-                from repro.engine.shard import explore_sharded
-
-                return explore_sharded(
-                    system,
-                    spec,
-                    max_states=max_states,
-                    max_depth=max_depth,
-                    strict=strict,
-                    n_jobs=jobs,
-                    observer=observer,
-                )
+            return explore_sharded(
+                system,
+                plane,
+                max_states=max_states,
+                max_depth=max_depth,
+                strict=strict,
+                n_jobs=n_jobs,
+                observer=observer,
+            )
     return _explore_serial(system, max_states, max_depth, strict, observer)
 
 

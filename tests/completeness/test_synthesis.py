@@ -14,6 +14,7 @@ from repro.workloads import (
     counter_grid,
     dining_philosophers,
     distractor_loop,
+    distributed_ring,
     modulus_chain,
     mutual_exclusion,
     nested_rings,
@@ -108,6 +109,49 @@ class TestFailures:
         graph = explore(up, max_states=5)
         with pytest.raises(ValueError):
             synthesize_measure(graph)
+
+
+class TestWarmStoreParallel:
+    """Graphs loaded from the graph store adopt their transition columns
+    as mmap-backed ``memoryview`` casts; parallel synthesis pickles the
+    packed graph to its workers, so it must ship those columns too."""
+
+    @staticmethod
+    def _warm(make, tmp_path):
+        from repro.engine.graphstore import (
+            exploration_cache_key,
+            explore_with_cache,
+            load_cached_graph,
+        )
+
+        explore_with_cache(make(), cache_dir=tmp_path)
+        program = make()
+        graph = load_cached_graph(
+            program, tmp_path, exploration_cache_key(program)
+        )
+        assert isinstance(graph.transition_columns[0], memoryview)
+        return graph
+
+    def test_parallel_stacks_match_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
+        graph = self._warm(lambda: p4_bounded(3, 20), tmp_path)
+        serial = synthesize_measure(graph)
+        parallel = synthesize_measure(graph, n_jobs=2)
+        assert len(serial.regions) >= 2  # the pool path actually runs
+        assert parallel.stacks == serial.stacks
+        assert parallel.stacks == synthesize_measure(
+            explore(p4_bounded(3, 20))
+        ).stacks
+
+    def test_parallel_error_matches_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
+        graph = self._warm(lambda: distributed_ring(3, 2), tmp_path)
+        with pytest.raises(NotFairlyTerminatingError) as serial:
+            synthesize_measure(graph)
+        with pytest.raises(NotFairlyTerminatingError) as parallel:
+            synthesize_measure(graph, n_jobs=2)
+        assert str(parallel.value) == str(serial.value)
+        assert parallel.value.witness.lasso == serial.value.witness.lasso
 
 
 class TestRandomisedRoundTrip:

@@ -1,11 +1,12 @@
 """The content-addressed graph store: bit-identity, chunks, incremental.
 
-Everything here is differential: warm loads, migrated v1 entries and
-incremental re-explorations are compared against fresh serial
+Everything here is differential: warm loads and incremental
+re-explorations are compared against fresh serial
 explorations via :func:`~repro.engine.shard.graph_digest` (and full
 object-level fingerprints), so a wrong graph — not just a crash — fails.
 """
 
+import hashlib
 import json
 import os
 from array import array
@@ -28,9 +29,6 @@ from repro.engine.graphstore import (
     family_key,
     find_incremental_base,
     last_outcome,
-    load_graph_v1,
-    store_graph_v1,
-    v1_cache_key,
 )
 from repro.gcl import parse_program
 from repro.ts import explore
@@ -456,43 +454,6 @@ def _edited_p2_50_source():
     return source.replace("x := x + 1", "x := x + 2", 1)
 
 
-class TestMigration:
-    def test_v1_entry_migrates_to_v2_on_hit(self, tmp_path):
-        program = p2(5)
-        graph = explore(program)
-        store_graph_v1(graph, tmp_path, v1_cache_key(program))
-        assert list(tmp_path.glob("graph-*.json"))
-        migrated, hit = explore_with_cache(p2(5), cache_dir=tmp_path)
-        assert hit
-        assert last_outcome().kind == "migrated"
-        assert _fingerprint(migrated) == _fingerprint(graph)
-        # The legacy entry is gone; the v2 manifest serves the next hit.
-        assert not list(tmp_path.glob("graph-*.json"))
-        assert list(tmp_path.glob("manifest-*.json"))
-        again, hit = explore_with_cache(p2(5), cache_dir=tmp_path)
-        assert hit
-        assert last_outcome().kind == "hit"
-        assert _fingerprint(again) == _fingerprint(graph)
-
-    def test_v1_round_trip_helpers(self, tmp_path):
-        program = p2(50)
-        graph = explore(program, max_states=10)
-        key = v1_cache_key(program, max_states=10)
-        store_graph_v1(graph, tmp_path, key)
-        reloaded = load_graph_v1(p2(50), tmp_path, key)
-        assert _fingerprint(reloaded) == _fingerprint(graph)
-
-    def test_corrupt_v1_entry_is_deleted_and_re_explored(self, tmp_path):
-        program = p2(5)
-        key = v1_cache_key(program)
-        path = store_graph_v1(explore(program), tmp_path, key)
-        path.write_text("{ not json")
-        graph, hit = explore_with_cache(p2(5), cache_dir=tmp_path)
-        assert not hit
-        assert not path.exists()
-        assert graph_digest(graph) == graph_digest(explore(p2(5)))
-
-
 class TestWideProgramsBypass:
     def _wide_program(self):
         commands = "\n  [] ".join(
@@ -597,18 +558,28 @@ class TestEviction:
         assert list(tmp_path.glob("manifest-*.json")) == []
         assert list(tmp_path.glob("chunk-*.bin")) == []
 
-    def test_legacy_v1_entries_count_and_evict(self, tmp_path):
-        # Satellite: graph-*.json leftovers are budget-counted LRU
-        # victims, not crashes.
-        legacy = store_graph_v1(
-            explore(p2(5)), tmp_path, v1_cache_key(p2(5))
-        )
-        os.utime(legacy, (500, 500))
-        keeper = self._store(tmp_path, p2(6), 2000)
-        removed = evict_cache(tmp_path, self._entry_mb(keeper))
-        assert legacy in removed
-        assert not legacy.exists()
-        assert keeper.manifest.exists()
+    def test_leftover_v1_json_is_an_unknown_file(self, tmp_path):
+        # The retired v1 format wrote graph-<key>.json entries.  A leftover
+        # one is debris like any other unknown file: never read (no hit,
+        # even under the exact name v1 used for this program), never
+        # deleted — not as corrupt, not by eviction.
+        from repro.gcl.pretty import render_program
+
+        v1_key = hashlib.sha256(json.dumps(
+            {"format": 1, "program": render_program(p2(5).ast),
+             "max_states": None, "max_depth": None, "jobs": 1},
+            sort_keys=True,
+        ).encode("utf-8")).hexdigest()
+        leftover = tmp_path / f"graph-{v1_key}.json"
+        leftover.write_text("{ not json")
+        os.utime(leftover, (1, 1))
+        graph, hit = explore_with_cache(p2(5), cache_dir=tmp_path)
+        assert not hit
+        assert last_outcome().kind == "cold"
+        assert graph_digest(graph) == graph_digest(explore(p2(5)))
+        evict_cache(tmp_path, 1e-9)
+        assert leftover.read_text() == "{ not json"
+        assert list(tmp_path.glob("manifest-*.json")) == []
 
     def test_corrupt_manifests_are_ordinary_victims(self, tmp_path):
         junk = tmp_path / ("manifest-" + "f" * 64 + ".json")
@@ -674,7 +645,6 @@ class TestEviction:
         # The budget is tiny: no manifest survives, including the new one
         # (fresh chunks may linger inside the orphan grace period).
         assert list(tmp_path.glob("manifest-*.json")) == []
-        assert list(tmp_path.glob("graph-*.json")) == []
 
 
 class TestSuccessorCacheStats:

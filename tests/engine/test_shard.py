@@ -1,25 +1,29 @@
-"""Differential tests for sharded exploration (DESIGN §6d).
+"""Differential tests for parallel exploration (DESIGN §6d/§6f).
 
-The whole point of the sharded explorer is that it is *invisible*: for
-every workload family, every job count and every truncation mode, the
-graph it produces must be bit-identical to the serial explorer's — same
-state interning order, same transition order, same enabled sets, same
-frontier, same strict-mode error message.  These tests force the pool on
-(``REPRO_FORCE_PARALLEL=1``) so the parallel merge path actually runs
-even on single-core CI machines and below the per-round cutoff.
+The whole point of the value-plane round explorer is that it is
+*invisible*: for every workload family, every job count and every
+truncation mode, the graph it produces must be bit-identical to the
+serial explorer's — same state interning order, same transition order,
+same enabled sets, same frontier, same strict-mode error message.  These
+tests force the pool on (``REPRO_FORCE_PARALLEL=1``) so the parallel
+merge path actually runs even on single-core CI machines and below the
+per-round cutoff.  Systems without a value plane explore serially at any
+job count.
 """
 
 import pickle
 
 import pytest
 
+from repro.engine import shm
 from repro.engine.shard import (
     SHARD_ROUND_CUTOFF,
-    _round_workers,
+    _round_dispatch,
     graph_digest,
 )
-from repro.gcl import Program
+from repro.gcl import Program, parse_program
 from repro.gcl.compile import CompiledProgram
+from repro.telemetry import core as telemetry
 from repro.ts import ExplorationLimitError, explore
 from repro.ts.system import TransitionSystem
 from repro.workloads import (
@@ -117,8 +121,17 @@ class TestDifferentialBounded:
             assert str(excinfo.value) == serial_message
 
 
+def _wide_program():
+    """A 34×34 grid over 66 commands — past the value plane's 64-command
+    mask limit, so it has no plane."""
+    commands = [f"x{i}: x == {i} -> x := x + 1" for i in range(33)]
+    commands += [f"y{i}: y == {i} -> y := y + 1" for i in range(33)]
+    body = "\n  [] ".join(commands)
+    return parse_program(f"program Wide var x := 0, y := 0 do {body} od")
+
+
 class _Opaque(TransitionSystem):
-    """A system without a shard spec (inherits the None default)."""
+    """A system without a value plane (inherits the None default)."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -139,10 +152,27 @@ class _Opaque(TransitionSystem):
 class TestFallbacks:
     def test_unshardable_system_falls_back_to_serial(self, force_parallel):
         inner = dining_philosophers(3)
-        assert _Opaque(inner).shard_spec() is None
+        assert _Opaque(inner).value_plane() is None
         serial = explore(dining_philosophers(3))
         fallback = explore(_Opaque(dining_philosophers(3)), n_jobs=4)
         assert _fingerprint(fallback) == _fingerprint(serial)
+
+    def test_wide_program_explores_serially(self, force_parallel):
+        """More than 64 commands: no value plane, so ``n_jobs=2`` runs the
+        serial BFS — same digest, no rounds, no shared memory."""
+        assert _wide_program().value_plane() is None
+        serial = graph_digest(explore(_wide_program()))
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            sharded = graph_digest(explore(_wide_program(), n_jobs=2))
+            counters = telemetry.registry().snapshot()["counters"]
+        finally:
+            telemetry.disable()
+        assert sharded == serial
+        assert counters.get("shard.rounds", 0) == 0
+        assert counters.get("shm.segments_created", 0) == 0
+        assert shm.live_segment_names() == []
 
     def test_serial_request_never_imports_sharding(self):
         graph = explore(counter_grid(2, 4), n_jobs=None)
@@ -150,7 +180,8 @@ class TestFallbacks:
 
 
 class TestPicklability:
-    """Workers rebuild systems from ``shard_spec``; the pieces must ship."""
+    """Programs and their compiled form travel to pool workers (value
+    planes, verification and synthesis tasks); the pieces must ship."""
 
     def test_program_pickle_roundtrip(self):
         program = counter_grid(2, 4)
@@ -165,36 +196,31 @@ class TestPicklability:
         clone = pickle.loads(pickle.dumps(compiled))
         assert clone.by_label.keys() == compiled.by_label.keys()
 
-    def test_shard_spec_rebuilds_equivalent_system(self):
-        program = counter_grid(2, 4)
-        spec = program.shard_spec()
-        assert spec is not None
-        rebuilt = pickle.loads(spec)
-        assert _fingerprint(explore(rebuilt)) == (
-            _fingerprint(explore(program))
-        )
-
 
 class TestRoundDispatch:
     def test_serial_requests_stay_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-        assert _round_workers(1, 10**6) == 1
-        assert _round_workers(0, 10**6) == 1
-        assert _round_workers(4, 0) == 1
+        assert _round_dispatch(1, 10**6) == (1, "serial_request")
+        assert _round_dispatch(0, 10**6) == (1, "serial_request")
+        assert _round_dispatch(4, 0) == (1, "serial_request")
 
     def test_narrow_rounds_are_demoted(self, monkeypatch):
         monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 8)
-        assert _round_workers(4, SHARD_ROUND_CUTOFF - 1) == 1
-        assert _round_workers(4, SHARD_ROUND_CUTOFF) == 4
+        assert _round_dispatch(4, SHARD_ROUND_CUTOFF - 1) == (
+            1, "narrow_round"
+        )
+        assert _round_dispatch(4, SHARD_ROUND_CUTOFF) == (4, "parallel")
 
     def test_single_core_demotes(self, monkeypatch):
         monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 1)
-        assert _round_workers(4, SHARD_ROUND_CUTOFF * 10) == 1
+        assert _round_dispatch(4, SHARD_ROUND_CUTOFF * 10) == (
+            1, "single_core"
+        )
 
     def test_force_env_overrides(self, force_parallel):
-        assert _round_workers(4, 1) == 4
+        assert _round_dispatch(4, 1) == (4, "forced")
 
 
 class TestGraphDigest:
@@ -215,22 +241,23 @@ class TestGraphDigest:
 
 
 class TestValuePlaneWireFormats:
-    """The zero-copy PR (DESIGN §6f) added a second parallel wire format:
-    value-plane systems ship flat int64 rows over shared memory instead
-    of pickled state objects.  Both formats, and the serial explorer,
-    must stay fingerprint-identical — including under truncation."""
+    """A value-plane system explores three ways: the serial BFS, batched
+    rounds in-process (narrow rounds, or no pool), and batched rounds
+    fanned out over shared memory.  All three must stay
+    fingerprint-identical — including under truncation."""
 
     @pytest.mark.parametrize("name,make", _families())
-    def test_three_paths_identical(self, force_parallel, monkeypatch, name, make):
-        from repro.engine.shard import value_plane_of
-
+    def test_three_paths_identical(self, monkeypatch, name, make):
+        # The ExplicitSystem families have no plane: both n_jobs runs
+        # below take the serial BFS, and must still agree.
         serial = _fingerprint(explore(make()))
+        # Smoke families never reach the per-round cutoff: in-process.
+        monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
+        in_process = _fingerprint(explore(make(), n_jobs=2))
+        monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
         shm_path = _fingerprint(explore(make(), n_jobs=2))
-        monkeypatch.setenv("REPRO_VALUE_PLANE", "0")
-        assert value_plane_of(make()) is None
-        pickled = _fingerprint(explore(make(), n_jobs=2))
+        assert in_process == serial, f"{name}: in-process rounds differ"
         assert shm_path == serial, f"{name}: shm wire format differs"
-        assert pickled == serial, f"{name}: pickled wire format differs"
 
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
     def test_bounded_value_plane_identical(self, force_parallel, jobs):

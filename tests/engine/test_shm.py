@@ -10,8 +10,9 @@ after a worker process dies mid-attach — only the owning coordinator
 ever unlinks.
 
 The value-plane differential tests pin the end-to-end claim: the
-shared-memory wire format, the pickled wire format and the serial
-explorer produce bit-identical graphs.
+shared-memory wire format and the serial explorer produce bit-identical
+graphs, and a system without a value plane explores serially at any job
+count, never touching shared memory.
 """
 
 import os
@@ -20,7 +21,7 @@ import pathlib
 import pytest
 
 from repro.engine import shm
-from repro.engine.shard import graph_digest, value_plane_of
+from repro.engine.shard import graph_digest
 from repro.telemetry import core as telemetry
 from repro.ts import StopExploration, ExplorationObserver, explore
 from repro.workloads import counter_grid, dining_philosophers
@@ -233,18 +234,10 @@ class TestExplorationLeakContract:
 
 
 class TestValuePlaneDifferential:
-    def test_three_wire_formats_agree(self, force_parallel, monkeypatch):
+    def test_serial_and_shm_agree(self, force_parallel):
         serial = graph_digest(explore(counter_grid(12, 12)))
         plane = graph_digest(explore(counter_grid(12, 12), n_jobs=2))
-        monkeypatch.setenv("REPRO_VALUE_PLANE", "0")
-        pickled = graph_digest(explore(counter_grid(12, 12), n_jobs=2))
-        assert serial == plane == pickled
-
-    def test_value_plane_env_kill_switch(self, monkeypatch):
-        system = counter_grid(3, 3)
-        assert value_plane_of(system) is not None
-        monkeypatch.setenv("REPRO_VALUE_PLANE", "0")
-        assert value_plane_of(system) is None
+        assert serial == plane
 
     def test_values_rounds_counted(self, force_parallel):
         telemetry.reset()
@@ -262,9 +255,18 @@ class TestValuePlaneDifferential:
         self, force_parallel
     ):
         # dining_philosophers composes ExplicitSystems — no value plane —
-        # so the legacy pickled path must carry it, bit-identically.
+        # so n_jobs=2 runs the serial BFS, bit-identically and without
+        # ever publishing a segment (the autouse fixture scans /dev/shm).
         system = dining_philosophers(3)
-        assert value_plane_of(system) is None
+        assert system.value_plane() is None
         serial = graph_digest(explore(dining_philosophers(3)))
-        sharded = graph_digest(explore(dining_philosophers(3), n_jobs=2))
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            sharded = graph_digest(explore(system, n_jobs=2))
+            counters = telemetry.registry().snapshot()["counters"]
+        finally:
+            telemetry.disable()
         assert serial == sharded
+        assert counters.get("shm.segments_created", 0) == 0
+        assert counters.get("shard.rounds", 0) == 0

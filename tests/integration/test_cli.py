@@ -109,6 +109,31 @@ class TestCheckStream:
         assert "stopped early" in out
 
 
+class TestCheck:
+    def test_second_run_hits_the_graph_cache(self, p2_file, tmp_path, capsys):
+        # The bad assertion fails (V_A) on the lb self-loops, so the
+        # verdict line carries violation counts worth comparing.
+        bad = tmp_path / "bad.assert"
+        bad.write_text("T: max(y - x, 0)\n")
+        cache = str(tmp_path / "cache")
+        argv = [
+            "check", p2_file, "--assertion", str(bad), "--cache-dir", cache
+        ]
+
+        def run():
+            assert main(argv) == 1
+            lines = capsys.readouterr().out.splitlines()
+            cache_lines = [l for l in lines if l.startswith("graph cache:")]
+            verdict = next(l for l in lines if l.startswith("P2 with"))
+            return cache_lines, verdict
+
+        cold_cache, cold_verdict = run()
+        warm_cache, warm_verdict = run()
+        assert cold_cache == [f"graph cache: miss ({cache})"]
+        assert warm_cache == [f"graph cache: hit ({cache})"]
+        assert warm_verdict == cold_verdict
+
+
 class TestSynthesize:
     def test_success(self, p2_file, capsys):
         assert main(["synthesize", p2_file, "--stacks"]) == 0

@@ -11,9 +11,13 @@ exploration cleanly: the graph stays well-formed, half-expanded states
 revert to the frontier, and a sharded run stops within one BFS round.
 """
 
+import pathlib
+
 import pytest
 
 from repro.engine.shard import graph_digest
+from repro.engine.shm import SEGMENT_PREFIX
+from repro.gcl import parse_program
 from repro.telemetry import core as telemetry
 from repro.ts import ExplorationObserver, StopExploration, explore
 from repro.workloads import (
@@ -194,6 +198,24 @@ class TestStopExploration:
             telemetry.disable()
 
 
+def _shm_segments():
+    """``repro-shm*`` names currently present in ``/dev/shm``."""
+    try:
+        return sorted(
+            p.name for p in pathlib.Path("/dev/shm").glob(f"{SEGMENT_PREFIX}*")
+        )
+    except OSError:  # pragma: no cover - no tmpfs
+        return []
+
+
+def _wide_program():
+    """66 commands: past the value plane's 64-command mask limit."""
+    commands = [f"x{i}: x == {i} -> x := x + 1" for i in range(33)]
+    commands += [f"y{i}: y == {i} -> y := y + 1" for i in range(33)]
+    body = "\n  [] ".join(commands)
+    return parse_program(f"program Wide var x := 0, y := 0 do {body} od")
+
+
 class RecordingStopper(Recorder):
     """Records the stream and stops after ``limit`` discovered states —
     the combination that pins *where* a mid-round cancellation lands."""
@@ -236,34 +258,23 @@ class TestStopOnShmPath:
         assert tuple(g1.states) == tuple(g2.states)
 
     @pytest.mark.parametrize("limit", STOP_LIMITS)
-    def test_shm_and_pickled_paths_stop_identically(
-        self, force_parallel, monkeypatch, limit
-    ):
-        shm_side = RecordingStopper(limit)
-        g_shm = explore(counter_grid(9, 9), n_jobs=2, observer=shm_side)
-        monkeypatch.setenv("REPRO_VALUE_PLANE", "0")
-        pickled = RecordingStopper(limit)
-        g_pickled = explore(counter_grid(9, 9), n_jobs=2, observer=pickled)
-        assert shm_side.events == pickled.events
-        assert graph_digest(g_shm) == graph_digest(g_pickled)
+    def test_no_plane_system_stops_like_serial(self, force_parallel, limit):
+        """A system without a value plane explores serially at any job
+        count: same stop point, same events, same graph, no segment."""
+        assert _wide_program().value_plane() is None
+        before = _shm_segments()
+        serial = RecordingStopper(limit)
+        g_serial = explore(_wide_program(), observer=serial)
+        sharded = RecordingStopper(limit)
+        g_sharded = explore(_wide_program(), n_jobs=2, observer=sharded)
+        assert serial.events == sharded.events
+        assert graph_digest(g_serial) == graph_digest(g_sharded)
+        assert _shm_segments() == before
 
     def test_stop_on_shm_path_leaks_no_segments(self, force_parallel):
-        import pathlib
-
-        from repro.engine.shm import SEGMENT_PREFIX
-
-        def segments():
-            try:
-                return sorted(
-                    p.name
-                    for p in pathlib.Path("/dev/shm").glob(f"{SEGMENT_PREFIX}*")
-                )
-            except OSError:  # pragma: no cover - no tmpfs
-                return []
-
-        before = segments()
+        before = _shm_segments()
         explore(counter_grid(9, 9), n_jobs=2, observer=StopAfterStates(23))
-        assert segments() == before
+        assert _shm_segments() == before
 
     def test_stop_counters_match_serial_on_shm_path(self, force_parallel):
         results = {}
