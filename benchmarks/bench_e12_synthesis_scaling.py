@@ -40,7 +40,7 @@ def pipeline(system):
     verdict = check_fair_termination(graph)
     assert verdict.fairly_terminates
     synthesis = synthesize_measure(graph)
-    result = check_measure(graph, synthesis.assignment(), keep_witnesses=False)
+    result = check_measure(graph, synthesis.assignment())
     assert result.ok
     return graph, synthesis
 

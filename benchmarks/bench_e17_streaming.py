@@ -17,9 +17,10 @@ measures both claims at million-state scale:
   (``fairly_terminates=False``, decisive).
 * **peak RSS, non-violating check** — ``grid_hypercube(6, 9)``
   (1 000 000 states) under the coordinate-sum assertion: materialized
-  ``check_measure`` over the full graph vs ``check_measure_streaming``
-  (``keep_witnesses=False`` on both paths), one fresh child each; the
-  streaming child must peak below the materialized one.  Run to
+  ``check_measure`` over the full graph vs ``check_measure_streaming``,
+  one fresh child each (both keep their 8-byte-per-transition witness
+  word column); the streaming child must peak below the materialized
+  one.  Run to
   completion the two must agree on every result field.
 
 Gates (full scale only, recorded in the verdict): streaming time-to-verdict
@@ -110,7 +111,7 @@ def _child_check_materialized():
     system, assignment = _cube_assignment()
     start = time.perf_counter()
     graph = explore(system)
-    result = check_measure(graph, assignment, keep_witnesses=False)
+    result = check_measure(graph, assignment)
     return {
         "seconds": time.perf_counter() - start,
         "ok": result.ok,
@@ -126,7 +127,7 @@ def _child_check_streaming():
 
     system, assignment = _cube_assignment()
     start = time.perf_counter()
-    result = check_measure_streaming(system, assignment, keep_witnesses=False)
+    result = check_measure_streaming(system, assignment)
     return {
         "seconds": time.perf_counter() - start,
         "ok": result.ok,

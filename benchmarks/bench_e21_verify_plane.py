@@ -13,21 +13,20 @@ object-level level search (for its exact diagnostics).
 This bench measures the claim at million-state scale, one configuration
 per fresh child interpreter (clean caches, own RSS high-water mark):
 
-* ``tuple --jobs 4`` — the PR 9 baseline: per-transition tuple tasks,
-  chunked over the pool (``REPRO_VERIFY_PLANE=0``).
-* ``plane --jobs 4`` — the columnar plane under the same job count.
-* ``plane serial`` — the kernel forced in-process
-  (``REPRO_VERIFY_PLANE=1``), isolating the batching win from the pool.
-* ``tuple serial`` — the untouched serial reference engine.
+* ``tuple serial`` — the per-transition tuple engine
+  (``verification._check_tuple``, called directly: ``check_measure``
+  itself only takes it when the codec cannot encode the stacks).
+* ``plane serial`` — ``check_measure`` in-process: the batched kernel.
+* ``plane --jobs 4`` — ``check_measure`` with its shared-memory fan-out.
 
 Workloads: ``grid_hypercube(6, 9)`` (10⁶ states, coordinate-sum
 assertion, non-violating) and ``hypercube_trap(6, 9)`` (the same
 assertion violated on the trap cycle).  Every configuration must produce
-a bit-identical result digest — verdict, counts, summary and violation
-renderings — and leave ``/dev/shm`` clean.
+a bit-identical result digest — verdict, counts, summary, violation
+renderings and the witness word column — and leave ``/dev/shm`` clean.
 
-Gate (full scale only): ``plane --jobs 4`` wall time ≥ 2× faster than
-``tuple --jobs 4`` on the non-violating grid family.  Identity and leak
+Gate (full scale only): ``plane serial`` wall time ≥ 2× faster than
+``tuple serial`` on the non-violating grid family.  Identity and leak
 assertions apply at every scale; ``ENGINE_BENCH_SMOKE=1`` substitutes
 hundreds-of-states instances for CI.  Rows land in ``BENCH_verify.json``.
 """
@@ -60,18 +59,17 @@ OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_verify.json"
 GRID_SHAPE = (4, 3) if SMOKE else (6, 9)  # 256 / 1 000 000 states
 TRAP_SHAPE = (4, 4) if SMOKE else (6, 9)  # 627 / 1 000 002 states
 
-#: label → (env, n_jobs).  ``REPRO_VERIFY_PLANE=0`` is the tuple engine
-#: (the PR 9 baseline); ``1`` forces the columnar kernel even where the
-#: adaptive rule would stay tuple; unset lets the dispatch decide.  At
-#: full scale the plane column runs the adaptive default (the smoke
-#: instances sit below the work cutoff, where the adaptive rule correctly
-#: stays tuple — so smoke forces the plane to keep exercising its paths).
+#: label → (engine, n_jobs).  ``tuple`` calls the tuple engine directly;
+#: ``plane`` is ``check_measure``, which puts every encodable check on
+#: the columnar kernel.
 CONFIGS = {
-    "tuple_jobs4": ({"REPRO_VERIFY_PLANE": "0"}, 4),
-    "plane_jobs4": ({"REPRO_VERIFY_PLANE": "1"} if SMOKE else {}, 4),
-    "plane_serial": ({"REPRO_VERIFY_PLANE": "1"}, None),
-    "tuple_serial": ({"REPRO_VERIFY_PLANE": "0"}, None),
+    "tuple_serial": ("tuple", None),
+    "plane_serial": ("plane", None),
+    "plane_jobs4": ("plane", 4),
 }
+
+#: The configurations timed with the full repeat count (the gate pair).
+GATE_COLUMNS = ("tuple_serial", "plane_serial")
 
 
 def shm_leaks():
@@ -104,16 +102,17 @@ def _family(name: str):
     return system, assertion.compile()
 
 
-def _child_check(family: str, n_jobs, instrument: bool = False):
-    """Explore ``family`` untimed, then time ``check_measure`` alone.
+def _child_check(family: str, engine: str, n_jobs, instrument: bool = False):
+    """Explore ``family`` untimed, then time the check alone.
 
-    The engine under test is selected by the environment the child was
-    launched with (its pool workers inherit it).  The digest covers every
-    observable of the result — verdict, counts, flags, summary line and
-    the rendering of each violation — so two configurations agree iff
-    their checks are bit-identical.
+    Both engines' timings include computing the per-state stacks.  The
+    digest covers every observable of the result — verdict, counts,
+    flags, summary line, the rendering of each violation and the witness
+    word column — so two configurations agree iff their checks are
+    bit-identical.
     """
     from repro.measures import check_measure
+    from repro.measures.verification import _check_tuple, _stacks_of
     from repro.telemetry import core as telemetry
     from repro.ts import explore
 
@@ -123,7 +122,12 @@ def _child_check(family: str, n_jobs, instrument: bool = False):
     system, assignment = _family(family)
     graph = explore(system)
     start = time.perf_counter()
-    result = check_measure(graph, assignment, keep_witnesses=False, n_jobs=n_jobs)
+    if engine == "tuple":
+        result = _check_tuple(
+            graph, _stacks_of(graph, assignment), assignment.order
+        )
+    else:
+        result = check_measure(graph, assignment, n_jobs=n_jobs)
     seconds = time.perf_counter() - start
     observable = json.dumps({
         "ok": result.ok,
@@ -132,6 +136,9 @@ def _child_check(family: str, n_jobs, instrument: bool = False):
         "order_well_founded": result.order_well_founded,
         "summary": result.summary(),
         "violations": [str(v) for v in result.violations],
+        "witness_words": hashlib.sha256(
+            result.witnesses.words.tobytes()
+        ).hexdigest(),
     }, sort_keys=True)
     counters = {}
     if instrument:
@@ -153,14 +160,13 @@ def _child_check(family: str, n_jobs, instrument: bool = False):
     }
 
 
-def _in_fresh_child(family: str, n_jobs, env, instrument: bool = False):
+def _in_fresh_child(family: str, engine: str, n_jobs, instrument: bool = False):
     """Run one measurement in a brand-new top-level interpreter.
 
     Fresh subprocess, not a pool child: the parallel configurations spin
     up their own worker pool, and a pool inside a pool worker deadlocks
-    under fork.  The in-process fallback (sandboxes that cannot exec)
-    restores the parent's environment afterwards; the JSON records which
-    mode ran.
+    under fork.  The in-process fallback (sandboxes that cannot exec) is
+    recorded in the JSON.
     """
     here = pathlib.Path(__file__).resolve()
     child_env = dict(os.environ)
@@ -168,9 +174,8 @@ def _in_fresh_child(family: str, n_jobs, env, instrument: bool = False):
     child_env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([child_env["PYTHONPATH"]] if child_env.get("PYTHONPATH") else [])
     )
-    child_env.update(env)
     command = [
-        sys.executable, str(here), family,
+        sys.executable, str(here), family, engine,
         "none" if n_jobs is None else str(n_jobs),
         "1" if instrument else "0",
     ]
@@ -180,34 +185,29 @@ def _in_fresh_child(family: str, n_jobs, env, instrument: bool = False):
             timeout=3600,
         )
     except (OSError, subprocess.SubprocessError):
-        saved = dict(os.environ)
-        try:
-            os.environ.update(env)
-            return _child_check(family, n_jobs, instrument), False
-        finally:
-            os.environ.clear()
-            os.environ.update(saved)
+        return _child_check(family, engine, n_jobs, instrument), False
     assert proc.returncode == 0, (
-        f"child measurement failed ({family}, n_jobs={n_jobs}, env={env}):\n"
+        f"child measurement failed ({family}, {engine}, n_jobs={n_jobs}):\n"
         f"{proc.stderr}"
     )
     return json.loads(proc.stdout.strip().splitlines()[-1]), True
 
 
-def _measure_config(family: str, n_jobs, env, repeats=REPEATS,
+def _measure_config(family: str, label: str, repeats=REPEATS,
                     instrument=False):
+    engine, n_jobs = CONFIGS[label]
     runs = []
     isolated = True
     for _ in range(repeats):
-        result, in_child = _in_fresh_child(family, n_jobs, env, instrument)
+        result, in_child = _in_fresh_child(family, engine, n_jobs, instrument)
         isolated = isolated and in_child
         assert not result["leaked"], (
-            f"{family}, env={env}: leaked shm segments {result['leaked']}"
+            f"{family}, {label}: leaked shm segments {result['leaked']}"
         )
         runs.append(result)
     digest = runs[0]["digest"]
     assert all(run["digest"] == digest for run in runs), (
-        f"{family}, env={env}: result digest varies across repeats"
+        f"{family}, {label}: result digest varies across repeats"
     )
     return {
         "seconds": statistics.median(run["seconds"] for run in runs),
@@ -230,8 +230,8 @@ def test_e21_verify_plane():
     table = Table(
         f"E21 — columnar verify plane vs tuple checker ({SCALE} sizes, "
         f"{CORES} cores)",
-        ["workload", "transitions", "tuple --jobs 4", "plane --jobs 4",
-         "speedup", "plane serial", "tuple serial", "identical", "leaks"],
+        ["workload", "transitions", "tuple serial", "plane serial",
+         "speedup", "plane --jobs 4", "identical", "leaks"],
     )
     rows = []
     speedups = {}
@@ -240,21 +240,19 @@ def test_e21_verify_plane():
         ("trap", TRAP_SHAPE, False),
     ):
         measured = {}
-        for label, (env, n_jobs) in CONFIGS.items():
-            # The gate columns get the full repeat count; the forced
-            # serial references exist for identity, one run each — except
-            # the instrumented plane run, which also proves engagement.
-            gate_column = label in ("tuple_jobs4", "plane_jobs4")
+        for label in CONFIGS:
+            # The gate pair gets the full repeat count; the fan-out run
+            # exists for identity and engagement, one instrumented run.
             measured[label] = _measure_config(
-                family, n_jobs, env,
-                repeats=REPEATS if gate_column else 1,
+                family, label,
+                repeats=REPEATS if label in GATE_COLUMNS else 1,
                 instrument=(label == "plane_jobs4"),
             )
-        baseline = measured["tuple_jobs4"]
+        baseline = measured["tuple_serial"]
         for label, config in measured.items():
             assert config["digest"] == baseline["digest"], (
                 f"{family}: {label} check result differs from the tuple "
-                f"baseline"
+                f"engine"
             )
         assert baseline["ok"] is expect_ok, (
             f"{family}: expected ok={expect_ok}, got {baseline['ok']}"
@@ -264,19 +262,19 @@ def test_e21_verify_plane():
             f"{family}: the plane --jobs 4 run never engaged the columnar "
             f"kernel (counters: {plane_counters})"
         )
+        plane_serial = measured["plane_serial"]["seconds"]
         speedup = (
-            baseline["seconds"] / measured["plane_jobs4"]["seconds"]
-            if measured["plane_jobs4"]["seconds"] > 0 else float("inf")
+            baseline["seconds"] / plane_serial
+            if plane_serial > 0 else float("inf")
         )
         speedups[family] = speedup
         table.add(
             f"{family}{shape}",
             baseline["transitions"],
             f"{baseline['seconds']:.3f}",
-            f"{measured['plane_jobs4']['seconds']:.3f}",
+            f"{plane_serial:.3f}",
             f"{speedup:.2f}x",
-            f"{measured['plane_serial']['seconds']:.3f}",
-            f"{measured['tuple_serial']['seconds']:.3f}",
+            f"{measured['plane_jobs4']['seconds']:.3f}",
             "yes",
             "none",
         )
@@ -287,12 +285,11 @@ def test_e21_verify_plane():
             "violations": baseline["violations"],
             "ok": baseline["ok"],
             "result_digest": baseline["digest"],
-            "tuple_jobs4_seconds": baseline["seconds"],
+            "tuple_serial_seconds": baseline["seconds"],
+            "plane_serial_seconds": plane_serial,
             "plane_jobs4_seconds": measured["plane_jobs4"]["seconds"],
-            "plane_serial_seconds": measured["plane_serial"]["seconds"],
-            "tuple_serial_seconds": measured["tuple_serial"]["seconds"],
             "speedup": speedup,
-            "peak_rss_kb": measured["plane_jobs4"]["peak_rss_kb"],
+            "peak_rss_kb": measured["plane_serial"]["peak_rss_kb"],
             "baseline_peak_rss_kb": baseline["peak_rss_kb"],
             "plane_counters": plane_counters,
             "child_isolated": all(c["isolated"] for c in measured.values()),
@@ -317,10 +314,9 @@ def test_e21_verify_plane():
             "min_speedup_required": MIN_SPEEDUP if gate_applies else None,
             "gate_family": "grid",
             "note": (
-                "speedup = tuple --jobs 4 wall time over plane --jobs 4, "
-                "check_measure only (exploration untimed); on a single-core "
-                "machine both job counts resolve serial, so the ratio "
-                "isolates the columnar kernel itself; peak_rss_kb is "
+                "speedup = tuple serial wall time over plane serial, "
+                "stacks + check only (exploration untimed), witnesses "
+                "kept as the word column on both engines; peak_rss_kb is "
                 "max(RUSAGE_SELF, RUSAGE_CHILDREN)"
             ),
         },
@@ -331,13 +327,16 @@ def test_e21_verify_plane():
     if gate_applies:
         assert speedups["grid"] >= MIN_SPEEDUP, (
             f"columnar verify plane is only {speedups['grid']:.2f}x the "
-            f"tuple --jobs 4 baseline on grid_hypercube{GRID_SHAPE} "
+            f"serial tuple engine on grid_hypercube{GRID_SHAPE} "
             f"(need {MIN_SPEEDUP}x)"
         )
 
 
 if __name__ == "__main__":
-    # Child mode (see _in_fresh_child): <family> <n_jobs|none> <instrument>.
-    _family_name, _jobs_raw, _instrument_raw = sys.argv[1:4]
+    # Child mode (see _in_fresh_child):
+    # <family> <engine> <n_jobs|none> <instrument>.
+    _family_name, _engine, _jobs_raw, _instrument_raw = sys.argv[1:5]
     _jobs = None if _jobs_raw == "none" else int(_jobs_raw)
-    print(json.dumps(_child_check(_family_name, _jobs, _instrument_raw == "1")))
+    print(json.dumps(
+        _child_check(_family_name, _engine, _jobs, _instrument_raw == "1")
+    ))

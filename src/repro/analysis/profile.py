@@ -9,11 +9,12 @@ executed command (the §4.2 view).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.measures.assignment import StackAssignment
-from repro.measures.verification import MeasureCheckResult
+from repro.measures.verification import MeasureCheckResult, WitnessColumn
 from repro.ts.explore import ReachableGraph
 
 
@@ -106,11 +107,22 @@ def profile_measure(
 
     active_by_command: Dict[str, Dict[int, int]] = {}
     if check is not None:
-        for witness in check.witnesses:
-            histogram = active_by_command.setdefault(
-                witness.transition.command, {}
+        witnesses = check.witnesses
+        if isinstance(witnesses, WitnessColumn):
+            # Straight from the word column and the graph's command
+            # column: no witness is decoded.
+            labels = witnesses.graph.command_table.labels
+            cmd = witnesses.graph.transition_columns[1]
+            tallies = (
+                (labels[k], word >> 1, count)
+                for (k, word), count in Counter(zip(cmd, witnesses.words)).items()
+                if word >= 0
             )
-            histogram[witness.level] = histogram.get(witness.level, 0) + 1
+        else:
+            tallies = ((w.transition.command, w.level, 1) for w in witnesses)
+        for command, level, count in tallies:
+            histogram = active_by_command.setdefault(command, {})
+            histogram[level] = histogram.get(level, 0) + count
 
     return MeasureProfile(
         states=len(graph),

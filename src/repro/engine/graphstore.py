@@ -672,7 +672,7 @@ def load_cached_graph(
     telemetry.count("graphstore.bytes.mapped", mapped.mapped_bytes)
     _touch_entry(directory, path, manifest)
     states = ValueColumnStates(names, mapped.columns["states"], n)
-    graph = ReachableGraph.from_arrays(
+    graph = ReachableGraph(
         system=program,
         states=states,
         labels=list(labels),

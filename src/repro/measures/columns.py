@@ -252,8 +252,7 @@ def check_chunk_columns(
     lo: int,
     hi: int,
     n_commands: int,
-    keep_witnesses: bool,
-) -> Tuple[Optional[array], List[int], PlaneCounts]:
+) -> Tuple[array, List[int], PlaneCounts]:
     """The batched level search over transitions ``lo..hi-1``.
 
     All column arguments are flat int sequences (local arrays, shm views
@@ -262,8 +261,7 @@ def check_chunk_columns(
 
     * ``witness_words[e - lo]`` is ``(level << 1) | reason`` (reason 0 =
       enabled, 1 = decrease) for a witnessed transition and ``-1``
-      otherwise; ``None`` when ``keep_witnesses`` is false (the caller
-      needs only the violation list).
+      otherwise.
     * ``violations`` — absolute eids of unwitnessed transitions, in eid
       order; the caller re-runs the object-level search on just these to
       materialize bit-identical failure details.
@@ -279,7 +277,7 @@ def check_chunk_columns(
     below the current one were already compared, so one ``value_id``
     equality per surviving level suffices.
     """
-    words = array("q", bytes(8 * (hi - lo))) if keep_witnesses else None
+    words = array("q", bytes(8 * (hi - lo)))
     violations: List[int] = []
     transitions = hi - lo
     witnessed = 0
@@ -327,16 +325,13 @@ def check_chunk_columns(
                 f_a += 1
             if bval != aval:
                 prefix_equal = False
+        words[eid - lo] = word
         if word >= 0:
             witnessed += 1
-            if keep_witnesses:
-                words[eid - lo] = word
         else:
             if max_level == 0:
                 f_other += 1  # "empty stack overlap"
             violations.append(eid)
-            if keep_witnesses:
-                words[eid - lo] = -1
 
     counts = (
         transitions,

@@ -23,10 +23,11 @@ termination measure** (Theorem 1 then applies; see
 
 from __future__ import annotations
 
-import os
 from array import array
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine import shm
 from repro.engine.parallel import chunk_items, effective_jobs, parallel_map
@@ -44,21 +45,6 @@ from repro.ts.explore import ExplorationObserver, ReachableGraph, StopExploratio
 from repro.ts.system import CommandLabel, Transition, TransitionSystem
 from repro.wf.base import WellFoundedOrder
 
-#: ``"0"`` disables the columnar verification plane (every check takes the
-#: per-transition tuple path); ``"1"`` forces it even where the adaptive
-#: rule would stay serial-tuple (benchmark columns and differential
-#: tests).  Unset/other: columnar engages when the check goes parallel or
-#: the transition count reaches :data:`PLANE_WORK_CUTOFF`; small serial
-#: checks — and any graph the codec cannot encode — keep the tuple engine
-#: unchanged.
-VERIFY_PLANE_ENV = "REPRO_VERIFY_PLANE"
-
-#: Transition count above which the columnar kernel beats the tuple path
-#: even on one core (encoding is O(states), the kernel saves per-edge
-#: tuple construction and interpreted level-search overhead); below it
-#: the tuple engine stays the serial default.
-PLANE_WORK_CUTOFF = 20_000
-
 
 @dataclass(frozen=True)
 class ActiveWitness:
@@ -71,6 +57,104 @@ class ActiveWitness:
     #: ``"enabled"`` — active via the command being enabled in p or p';
     #: ``"decrease"`` — active via a strict measure decrease.
     reason: str
+
+
+def _witness_word(data: Optional[ActiveWitnessData]) -> int:
+    """One level search's outcome word: ``level << 1 | decreased``, −1 for
+    a violation — the word the columnar kernel writes per edge."""
+    if data is None:
+        return -1
+    return (data.level << 1) | (data.reason == "decrease")
+
+
+class WitnessColumn(Sequence):
+    """A check's witnesses, decoded lazily from its outcome-word column.
+
+    ``words[eid]`` is ``level << 1 | decreased`` for a witnessed
+    transition and ``-1`` for a violating one, over graph eids
+    ``0 .. len(words) - 1`` (a fail-fast streaming check covers a
+    prefix).  That is the whole active hypothesis the soundness argument
+    needs: the subject at the level is read back from μ(p).  An
+    :class:`ActiveWitness` is built only when an item is read; violating
+    eids are skipped, so the sequence equals the list a per-transition
+    checker would have built, and compares equal to any sequence with the
+    same items.
+    """
+
+    __slots__ = ("graph", "stacks", "words", "_length", "_eids")
+
+    def __init__(
+        self, graph: ReachableGraph, stacks: Sequence[Stack], words: array
+    ) -> None:
+        self.graph = graph
+        self.stacks = stacks
+        self.words = words
+        self._length = len(words) - words.count(-1)
+        # Witness index → eid, built on the first random access when
+        # violations interleave (without any, index and eid coincide).
+        self._eids: Optional[array] = None
+
+    def _decode(self, eid: int, word: int) -> ActiveWitness:
+        graph = self.graph
+        level = word >> 1
+        source = graph.transition_columns[0][eid]
+        return ActiveWitness(
+            transition=graph.to_transition(graph.transitions[eid]),
+            level=level,
+            subject=self.stacks[source].level(level).subject,
+            reason="decrease" if word & 1 else "enabled",
+        )
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._length))]
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("witness index out of range")
+        words = self.words
+        eid = index
+        if self._length != len(words):
+            if self._eids is None:
+                self._eids = array(
+                    "q", (e for e, word in enumerate(words) if word >= 0)
+                )
+            eid = self._eids[index]
+        return self._decode(eid, words[eid])
+
+    def __iter__(self):
+        for eid, word in enumerate(self.words):
+            if word >= 0:
+                yield self._decode(eid, word)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<WitnessColumn of {self._length} witnesses>"
+
+    def level_counts(self) -> Dict[int, int]:
+        """Active level → witnessed transitions, straight from the words.
+
+        Keys come in first-seen eid order, like a histogram over the
+        decoded witnesses: ``Counter`` keeps each word's first
+        appearance, and a level's first word is its first appearance.
+        """
+        histogram: Dict[int, int] = {}
+        for word, count in Counter(self.words).items():
+            if word >= 0:
+                level = word >> 1
+                histogram[level] = histogram.get(level, 0) + count
+        return histogram
 
 
 @dataclass(frozen=True)
@@ -116,9 +200,13 @@ class MeasureCheckResult:
     infinite library orders are well-founded by construction), and the graph
     complete — on a bounded graph the result still certifies the explored
     region and says so via ``complete``.
+
+    ``witnesses`` is a :class:`WitnessColumn` for the materialized and
+    streaming checkers (a plain list for the justice and response
+    checkers): one witness per witnessed transition, in eid order.
     """
 
-    witnesses: List[ActiveWitness]
+    witnesses: Sequence[ActiveWitness]
     violations: List[TransitionViolation]
     transitions_checked: int
     complete: bool
@@ -136,6 +224,8 @@ class MeasureCheckResult:
 
     def active_levels(self) -> Dict[int, int]:
         """Histogram: active level → how many transitions used it."""
+        if isinstance(self.witnesses, WitnessColumn):
+            return self.witnesses.level_counts()
         histogram: Dict[int, int] = {}
         for witness in self.witnesses:
             histogram[witness.level] = histogram.get(witness.level, 0) + 1
@@ -283,41 +373,13 @@ class ActiveWitnessData:
     reason: str
 
 
-#: One transition's inputs to the level search, as plain picklable data:
-#: ``(source_stack, target_stack, invalidated, active_subjects)``.
-_TransitionTask = Tuple[Stack, Stack, frozenset, frozenset]
-
-
-def _check_chunk(
-    payload: Tuple[Sequence[_TransitionTask], WellFoundedOrder],
-):
-    """Worker: run the level search over one chunk of transitions.
-
-    Returns, per transition, either ``ActiveWitnessData`` or the failure
-    tuple — plain data the parent reattaches to its transitions.  Module
-    level (and closure-free) so the process pool can pickle it; also the
-    serial path, so both paths run literally the same code.
-    """
-    tasks, order = payload
-    results = []
-    traced = telemetry.enabled()
-    for source_stack, target_stack, invalidated, active_subjects in tasks:
-        data, failures = find_active_level_general(
-            source_stack, target_stack, invalidated, active_subjects, order
-        )
-        results.append(data if data is not None else tuple(failures))
-        if traced:
-            _count_outcome(data, failures)
-    return results
-
-
 def _count_outcome(data, failures) -> None:
     """Registry counters for one level search (telemetry enabled only).
 
     ``verify.active.*`` records how (V_A) was discharged; failed levels
-    are attributed to the condition that rejected them.  Counted inside
-    the chunk engine — the same code is the serial path and the pool
-    worker, so parent totals are exact for any job count.
+    are attributed to the condition that rejected them.  The tuple
+    engine and the streaming verifier count here; the columnar kernel
+    accumulates the same totals itself (:func:`_count_plane`).
     """
     telemetry.count("verify.transitions")
     if data is not None:
@@ -392,23 +454,22 @@ def _attach_plane_column(entry, tag: int):
     return shm.attach_file_column(path, words, typecode)
 
 
-#: One columnar chunk task: ``(manifest, tag, lo, hi, n_commands, keep)``.
+#: One columnar chunk task: ``(manifest, tag, lo, hi, n_commands)``.
 #: The manifest maps column keys (soff/ssub/sval/srank/src/cmd/dst/emask)
 #: to attachable entries — the whole input of a million-edge check chunk
 #: pickles in a few hundred bytes.
-_PlaneTask = Tuple[Dict[str, tuple], int, int, int, int, bool]
+_PlaneTask = Tuple[Dict[str, tuple], int, int, int, int]
 
 
 def _check_plane_chunk(task: _PlaneTask):
     """Worker: run the columnar kernel over one edge range.
 
     Returns ``(witness_bytes, violations, counts)``; ``witness_bytes`` is
-    the packed witness-word column (``None`` when the caller keeps no
-    witnesses).  Outcome counters are merged into the worker registry
-    here — the pool's delta collection carries them home, so parent
-    totals are exact for any job count, like the tuple path.
+    the range's packed witness-word column.  Outcome counters are merged
+    into the worker registry here — the pool's delta collection carries
+    them home, so parent totals are exact for any job count.
     """
-    manifest, tag, lo, hi, n_commands, keep = task
+    manifest, tag, lo, hi, n_commands = task
     cols = {key: _attach_plane_column(entry, tag) for key, entry in manifest.items()}
     words, violations, counts = check_chunk_columns(
         cols["soff"],
@@ -422,19 +483,17 @@ def _check_plane_chunk(task: _PlaneTask):
         lo,
         hi,
         n_commands,
-        keep,
     )
     if telemetry.enabled():
         telemetry.count("verify.plane.chunks")
         _count_plane(counts)
-    return (words.tobytes() if words is not None else None, violations, counts)
+    return words.tobytes(), violations, counts
 
 
 def _plane_chunks_parallel(
     graph: ReachableGraph,
     columns: StackColumns,
     jobs: int,
-    keep_witnesses: bool,
 ):
     """Publish the plane and fan the kernel out; ``None`` if shm is out.
 
@@ -479,16 +538,12 @@ def _plane_chunks_parallel(
 
         parts = chunk_items(range(len(src)), jobs)
         tasks = [
-            (manifest, arena.tag, part.start, part.stop,
-             columns.n_commands, keep_witnesses)
+            (manifest, arena.tag, part.start, part.stop, columns.n_commands)
             for part in parts
             if len(part)
         ]
         outs = parallel_map(_check_plane_chunk, tasks, n_jobs=jobs)
-        return [
-            (task[2], payload, violations)
-            for task, (payload, violations, _) in zip(tasks, outs)
-        ]
+        return [(payload, violations) for payload, violations, _ in outs]
     finally:
         arena.close()
 
@@ -507,15 +562,14 @@ def _decode_plane_violation(
     bit-identical detail text by construction.  Outcome counters were
     already merged from the kernel; the replay does not count again.
     """
-    analyses = graph.analyses
-    packed = analyses.packed
-    commands = analyses.commands
-    masks = analyses.enabled_masks
-    s, t = packed.src[eid], packed.dst[eid]
+    commands = graph.command_table
+    masks = graph.enabled_masks
+    src, cmd, dst = graph.transition_columns
+    s, t = src[eid], dst[eid]
     data, failures = find_active_level_general(
         stacks[s],
         stacks[t],
-        commands.singleton(packed.cmd[eid]),
+        commands.singleton(cmd[eid]),
         commands.labels_of_mask(masks[s] | masks[t]),
         order,
     )
@@ -534,23 +588,21 @@ def _decode_plane_violation(
     )
 
 
-def _check_measure_plane(
+def _check_plane(
     graph: ReachableGraph,
     stacks: List[Stack],
     columns: StackColumns,
     order: WellFoundedOrder,
-    keep_witnesses: bool,
     jobs: int,
 ) -> MeasureCheckResult:
     """The columnar engine: batched kernels over (possibly shared) columns.
 
-    Verdict, witnesses, violations — contents *and* order — are
-    bit-identical to the tuple path: chunks are contiguous eid ranges,
-    decoded in range order, and every rare outcome (a violation) replays
-    the object-level search for its exact diagnostics.
+    Witness words and violations come out in eid order: chunks are
+    contiguous eid ranges concatenated in range order, and every rare
+    outcome (a violation) replays the object-level search for its exact
+    diagnostics.
     """
     src, cmd, dst = graph.transition_columns
-    masks = graph.enabled_masks
     m = len(src)
     traced = telemetry.enabled()
     if traced:
@@ -559,7 +611,7 @@ def _check_measure_plane(
 
     chunks = None
     if jobs > 1 and m > 1:
-        chunks = _plane_chunks_parallel(graph, columns, jobs, keep_witnesses)
+        chunks = _plane_chunks_parallel(graph, columns, jobs)
     if chunks is None:
         words, violating, counts = check_chunk_columns(
             columns.offsets,
@@ -569,55 +621,118 @@ def _check_measure_plane(
             src,
             cmd,
             dst,
-            masks,
+            graph.enabled_masks,
             0,
             m,
             columns.n_commands,
-            keep_witnesses,
         )
         if traced:
             telemetry.count("verify.plane.chunks")
             _count_plane(counts)
-        chunks = [(0, words.tobytes() if words is not None else None, violating)]
-
-    transitions = graph.transitions
-    witnesses: List[ActiveWitness] = []
-    violations: List[TransitionViolation] = []
-    for lo, payload, violating in chunks:
-        if keep_witnesses and payload is not None:
-            words = array("q")
+    else:
+        words = array("q")
+        violating = []
+        for payload, part in chunks:
             words.frombytes(payload)
-            for rel, word in enumerate(words):
-                eid = lo + rel
-                if word < 0:
-                    continue
-                level = word >> 1
-                witnesses.append(
-                    ActiveWitness(
-                        transition=graph.to_transition(transitions[eid]),
-                        level=level,
-                        subject=stacks[src[eid]].level(level).subject,
-                        reason="decrease" if word & 1 else "enabled",
-                    )
-                )
-        for eid in violating:
-            violations.append(
-                _decode_plane_violation(graph, stacks, order, eid)
-            )
+            violating.extend(part)
+    violations = [
+        _decode_plane_violation(graph, stacks, order, eid) for eid in violating
+    ]
+    return _result(graph, stacks, order, words, violations)
 
+
+def _check_tuple(
+    graph: ReachableGraph,
+    stacks: List[Stack],
+    order: WellFoundedOrder,
+    requirements=None,
+) -> MeasureCheckResult:
+    """The object-level engine: :func:`find_active_level_general` per edge.
+
+    The fallback for whatever the column codec cannot encode exactly —
+    generalized requirements, more than 63 commands, an order with no
+    exact integer ranking.  Writes the same word column and violation
+    list as :func:`_check_plane`.
+    """
+    src, cmd, dst = graph.transition_columns
+    commands = graph.command_table
+    masks = graph.enabled_masks
+    labels = commands.labels
+    if requirements is not None:
+        demanded = [
+            frozenset(
+                r.name for r in requirements if r.enabled_at(graph.state_of(i))
+            )
+            for i in range(len(graph))
+        ]
+    words = array("q", bytes(8 * len(src)))
+    violations: List[TransitionViolation] = []
+    traced = telemetry.enabled()
+    for eid in range(len(src)):
+        s, t = src[eid], dst[eid]
+        if requirements is None:
+            invalidated = commands.singleton(cmd[eid])
+            active = commands.labels_of_mask(masks[s] | masks[t])
+        else:
+            source_state = graph.state_of(s)
+            target_state = graph.state_of(t)
+            command = labels[cmd[eid]]
+            invalidated = frozenset(
+                r.name
+                for r in requirements
+                if r.fulfilled_by(source_state, command, target_state)
+            )
+            active = demanded[s] | demanded[t]
+        data, failures = find_active_level_general(
+            stacks[s], stacks[t], invalidated, active, order
+        )
+        if traced:
+            _count_outcome(data, failures)
+        words[eid] = _witness_word(data)
+        if data is None:
+            violations.append(
+                TransitionViolation(
+                    transition=graph.to_transition(graph.transitions[eid]),
+                    source_stack=stacks[s],
+                    target_stack=stacks[t],
+                    failures=tuple(failures),
+                )
+            )
+    return _result(graph, stacks, order, words, violations)
+
+
+def _result(
+    graph: ReachableGraph,
+    stacks: List[Stack],
+    order: WellFoundedOrder,
+    words: array,
+    violations: List[TransitionViolation],
+) -> MeasureCheckResult:
     return MeasureCheckResult(
-        witnesses=witnesses,
+        witnesses=WitnessColumn(graph, stacks, words),
         violations=violations,
-        transitions_checked=m,
+        transitions_checked=len(words),
         complete=graph.complete,
         order_well_founded=order.is_well_founded(),
     )
 
 
+def _stacks_of(graph: ReachableGraph, assignment: StackAssignment) -> List[Stack]:
+    """μ(p) for every state, each measure value validated against the order."""
+    order = assignment.order
+    stacks: List[Stack] = []
+    for index in range(len(graph)):
+        stack = assignment(graph.state_of(index))
+        for hypothesis in stack:
+            if hypothesis.value is not None:
+                order.check_member(hypothesis.value)
+        stacks.append(stack)
+    return stacks
+
+
 def check_measure(
     graph: ReachableGraph,
     assignment: StackAssignment,
-    keep_witnesses: bool = True,
     requirements=None,
     n_jobs: int | None = None,
 ) -> MeasureCheckResult:
@@ -625,7 +740,8 @@ def check_measure(
 
     Stacks are computed once per state; measure values are validated for
     membership in the assignment's order.  The result's
-    :attr:`~MeasureCheckResult.complete` mirrors the graph's completeness.
+    :attr:`~MeasureCheckResult.complete` mirrors the graph's completeness,
+    and its witnesses are a lazy :class:`WitnessColumn`.
 
     ``requirements`` (a sequence of
     :class:`repro.fairness.generalized.FairnessRequirement`) switches the
@@ -634,19 +750,17 @@ def check_measure(
     service in either endpoint, and invalidated when the transition fulfils
     it.  Omitted, hypotheses name commands (the paper's strong fairness).
 
-    ``n_jobs`` fans the per-transition checks out over a process pool
-    (``repro.engine.parallel``): transitions are split into contiguous
-    chunks and the per-chunk results concatenated in order, so witnesses
-    and violations — contents *and* order — are identical to the serial
-    run.  ``None``/``0``/``1`` stay serial; pool failures fall back to
-    serial.
+    Whenever the stacks pack into columns (:func:`encode_stacks`) the
+    batched columnar kernel checks them; ``n_jobs`` then fans it out over
+    shared-memory eid ranges (``repro.engine.parallel`` adaptive
+    dispatch; pool failures fall back to serial).  Everything else runs
+    the serial per-transition search.  Both engines return the same
+    witnesses and violations — contents *and* order.
     """
     with telemetry.span(
         "verify", transitions=len(graph.transitions), jobs=n_jobs
     ) as sp:
-        result = _check_measure_inner(
-            graph, assignment, keep_witnesses, requirements, n_jobs
-        )
+        result = _check_measure_inner(graph, assignment, requirements, n_jobs)
         sp.set("violations", len(result.violations))
     events.emit(
         events.VERIFY_VERDICT,
@@ -663,140 +777,25 @@ def check_measure(
 def _check_measure_inner(
     graph: ReachableGraph,
     assignment: StackAssignment,
-    keep_witnesses: bool,
     requirements,
     n_jobs: int | None,
 ) -> MeasureCheckResult:
     order = assignment.order
-    stacks: List[Stack] = []
-    for index in range(len(graph)):
-        state = graph.state_of(index)
-        stack = assignment(state)
-        for hypothesis in stack:
-            if hypothesis.value is not None:
-                order.check_member(hypothesis.value)
-        stacks.append(stack)
-
-    transitions = graph.transitions
-    analyses = graph.analyses
-    packed = analyses.packed
-    src, cmd, dst = packed.src, packed.cmd, packed.dst
-    enabled_masks = analyses.enabled_masks
-    commands = analyses.commands
-
-    # Columnar dispatch: when the check would go parallel anyway, the
-    # transition count is large enough to amortize encoding (the batched
-    # kernel beats per-edge tuples even on one core), or the environment
-    # forces the plane, pack the stacks into flat columns and run the
-    # batched kernel instead of building per-edge tuples.  Any
-    # graph/assignment the codec cannot represent exactly — generalized
-    # requirements, >63 commands, an order without an exact integer
-    # ranking — falls through to the tuple engine below, which also stays
-    # the default for small checks (the PR 2 never-slower
-    # adaptive-dispatch rule: encoding overhead must never dominate).
-    jobs = effective_jobs(n_jobs, len(transitions))
-    mode = os.environ.get(VERIFY_PLANE_ENV, "")
-    engage = jobs > 1 or mode == "1" or len(transitions) >= PLANE_WORK_CUTOFF
-    if mode != "0" and engage:
-        if requirements is not None:
-            if telemetry.enabled():
-                telemetry.count("verify.plane.fallback.requirements")
-        else:
-            columns, reason = encode_stacks(stacks, commands, order)
-            if columns is None:
-                if telemetry.enabled():
-                    telemetry.count(f"verify.plane.fallback.{reason}")
-            else:
-                return _check_measure_plane(
-                    graph, stacks, columns, order, keep_witnesses, jobs
-                )
-
-    # Per-transition inputs, precomputed in the parent so workers never see
-    # the (closure-laden, unpicklable) assignment or requirement objects.
-    # Enabled-union frozensets are shared via the mask cache; the
-    # invalidated singleton per command is interned in the command table.
-    tasks: List[_TransitionTask] = []
+    stacks = _stacks_of(graph, assignment)
+    # One rule: whatever the codec can encode exactly runs on the plane;
+    # generalized requirements, >63 commands or an order without an
+    # exact integer ranking fall back to the tuple engine.
+    columns = None
     if requirements is None:
-        for eid in range(len(transitions)):
-            s, t = src[eid], dst[eid]
-            tasks.append(
-                (
-                    stacks[s],
-                    stacks[t],
-                    commands.singleton(cmd[eid]),
-                    commands.labels_of_mask(enabled_masks[s] | enabled_masks[t]),
-                )
-            )
+        columns, reason = encode_stacks(stacks, graph.command_table, order)
     else:
-        demanded = [
-            frozenset(
-                r.name for r in requirements if r.enabled_at(graph.state_of(i))
-            )
-            for i in range(len(graph))
-        ]
-        for transition in transitions:
-            source_state = graph.state_of(transition.source)
-            target_state = graph.state_of(transition.target)
-            tasks.append(
-                (
-                    stacks[transition.source],
-                    stacks[transition.target],
-                    frozenset(
-                        r.name
-                        for r in requirements
-                        if r.fulfilled_by(
-                            source_state, transition.command, target_state
-                        )
-                    ),
-                    demanded[transition.source] | demanded[transition.target],
-                )
-            )
-
-    # Adaptive dispatch: one work unit per transition (``jobs`` was
-    # resolved above, before the columnar branch).  Small graphs are
-    # demoted to serial so ``--jobs N`` never pays pool overhead it cannot
-    # amortise (REPRO_FORCE_PARALLEL=1 overrides, for pool smoke tests).
-    if jobs <= 1:
-        outcomes = _check_chunk((tasks, order))
-    else:
-        chunks = chunk_items(tasks, jobs)
-        payloads = [(chunk, order) for chunk in chunks]
-        outcomes = [
-            outcome
-            for chunk_result in parallel_map(_check_chunk, payloads, n_jobs=jobs)
-            for outcome in chunk_result
-        ]
-
-    witnesses: List[ActiveWitness] = []
-    violations: List[TransitionViolation] = []
-    for eid, outcome in enumerate(outcomes):
-        if isinstance(outcome, ActiveWitnessData):
-            if keep_witnesses:
-                witnesses.append(
-                    ActiveWitness(
-                        transition=graph.to_transition(transitions[eid]),
-                        level=outcome.level,
-                        subject=outcome.subject,
-                        reason=outcome.reason,
-                    )
-                )
-        else:
-            violations.append(
-                TransitionViolation(
-                    transition=graph.to_transition(transitions[eid]),
-                    source_stack=stacks[src[eid]],
-                    target_stack=stacks[dst[eid]],
-                    failures=outcome,
-                )
-            )
-
-    return MeasureCheckResult(
-        witnesses=witnesses,
-        violations=violations,
-        transitions_checked=len(transitions),
-        complete=graph.complete,
-        order_well_founded=order.is_well_founded(),
-    )
+        reason = "requirements"
+    if columns is None:
+        if telemetry.enabled():
+            telemetry.count(f"verify.plane.fallback.{reason}")
+        return _check_tuple(graph, stacks, order, requirements)
+    jobs = effective_jobs(n_jobs, len(graph.transitions))
+    return _check_plane(graph, stacks, columns, order, jobs)
 
 
 @dataclass
@@ -823,22 +822,24 @@ class _StreamingVerifier(ExplorationObserver):
     level search and task construction as the materialized checker — when
     ``on_expanded`` declares them final.  A source truncated by the state
     budget never gets an ``on_expanded``, so its buffered transitions are
-    discarded, matching the materialized path's frontier-source drop.
+    discarded, matching the materialized path's frontier-source drop; a
+    stop raised from ``on_expanded`` keeps that source's transitions in
+    the graph.  Flush order is therefore graph eid order, and
+    :attr:`words` indexes like the explored graph's transitions.
     """
 
     __slots__ = (
         "_system",
         "_assignment",
         "_order",
-        "_keep",
         "_requirements",
         "_max_violations",
         "_states",
-        "_stacks",
+        "stacks",
         "_enabled",
         "_demanded",
         "_pending",
-        "witnesses",
+        "words",
         "violations",
         "checked",
         "stopped",
@@ -848,24 +849,23 @@ class _StreamingVerifier(ExplorationObserver):
         self,
         system: TransitionSystem,
         assignment: StackAssignment,
-        keep_witnesses: bool,
         requirements,
         max_violations: int | None,
     ) -> None:
         self._system = system
         self._assignment = assignment
         self._order = assignment.order
-        self._keep = keep_witnesses
         self._requirements = (
             tuple(requirements) if requirements is not None else None
         )
         self._max_violations = max_violations
         self._states: List = []
-        self._stacks: List[Stack] = []
+        self.stacks: List[Stack] = []
         self._enabled: List[frozenset | None] = []
         self._demanded: List[frozenset] = []
         self._pending: List[Tuple[int, CommandLabel, int]] = []
-        self.witnesses: List[ActiveWitness] = []
+        #: Outcome words in flush order, which is graph eid order.
+        self.words = array("q")
         self.violations: List[TransitionViolation] = []
         self.checked = 0
         self.stopped = False
@@ -877,7 +877,7 @@ class _StreamingVerifier(ExplorationObserver):
         for hypothesis in stack:
             if hypothesis.value is not None:
                 order.check_member(hypothesis.value)
-        self._stacks.append(stack)
+        self.stacks.append(stack)
         self._enabled.append(None)
         if self._requirements is not None:
             self._demanded.append(
@@ -945,7 +945,7 @@ class _StreamingVerifier(ExplorationObserver):
         order = self._order
         requirements = self._requirements
         states = self._states
-        stacks = self._stacks
+        stacks = self.stacks
         for source, command, target in pending:
             if requirements is None:
                 invalidated = frozenset((command,))
@@ -965,19 +965,8 @@ class _StreamingVerifier(ExplorationObserver):
             self.checked += 1
             if traced:
                 _count_outcome(data, failures)
-            if data is not None:
-                if self._keep:
-                    self.witnesses.append(
-                        ActiveWitness(
-                            transition=Transition(
-                                states[source], command, states[target]
-                            ),
-                            level=data.level,
-                            subject=data.subject,
-                            reason=data.reason,
-                        )
-                    )
-            else:
+            self.words.append(_witness_word(data))
+            if data is None:
                 self.violations.append(
                     TransitionViolation(
                         transition=Transition(
@@ -1005,7 +994,6 @@ def check_measure_streaming(
     assignment: StackAssignment,
     max_states: int | None = None,
     max_depth: int | None = None,
-    keep_witnesses: bool = True,
     requirements=None,
     max_violations: int | None = None,
     n_jobs: int | None = None,
@@ -1024,15 +1012,14 @@ def check_measure_streaming(
 
     ``n_jobs`` shards the *exploration* (the VC checks run serially in
     the coordinator as each state closes); the result is identical for
-    any job count.  Pass ``keep_witnesses=False`` for O(states) memory —
-    the default keeps per-transition witnesses like the materialized
-    checker does.
+    any job count.  Witnesses are a :class:`WitnessColumn` over the
+    explored graph: 8 bytes per checked transition, decoded on reading.
     """
     with telemetry.span(
         "verify", streaming=True, jobs=n_jobs, max_violations=max_violations
     ) as sp:
         verifier = _StreamingVerifier(
-            system, assignment, keep_witnesses, requirements, max_violations
+            system, assignment, requirements, max_violations
         )
         graph = explore(
             system,
@@ -1048,7 +1035,7 @@ def check_measure_streaming(
         sp.set("violations", len(verifier.violations))
         sp.set("stopped_early", verifier.stopped)
     result = StreamingCheckResult(
-        witnesses=verifier.witnesses,
+        witnesses=WitnessColumn(graph, verifier.stacks, verifier.words),
         violations=verifier.violations,
         transitions_checked=verifier.checked,
         complete=graph.complete,

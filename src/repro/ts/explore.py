@@ -207,61 +207,6 @@ class ReachableGraph:
         self,
         system: TransitionSystem,
         states: Sequence[State],
-        transitions: Sequence[IndexedTransition],
-        enabled: Sequence[frozenset],
-        initial_count: int,
-        frontier: Iterable[int],
-        index: Dict[State, int] | None = None,
-    ) -> None:
-        # Object-level construction path (hand-built graphs):
-        # convert to the packed column form the graph actually stores.
-        labels = list(system.commands())
-        ids = {label: k for k, label in enumerate(labels)}
-        src = array("q")
-        cmd = array("q")
-        dst = array("q")
-        for t in transitions:
-            k = ids.get(t.command)
-            if k is None:
-                k = len(labels)
-                ids[t.command] = k
-                labels.append(t.command)
-            src.append(t.source)
-            cmd.append(k)
-            dst.append(t.target)
-        masks: List[int] = []
-        for commands in enabled:
-            mask = 0
-            for label in commands:
-                k = ids.get(label)
-                if k is None:
-                    k = len(labels)
-                    ids[label] = k
-                    labels.append(label)
-                mask |= 1 << k
-            masks.append(mask)
-        if index is None:
-            index = {s: i for i, s in enumerate(states)}
-            if len(index) != len(states):
-                raise ValueError("duplicate states in exploration result")
-        self._setup(
-            system=system,
-            states=tuple(states),
-            labels=labels,
-            src=src,
-            cmd=cmd,
-            dst=dst,
-            enabled_masks=masks,
-            initial_count=initial_count,
-            frontier=frozenset(frontier),
-            index=index,
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        system: TransitionSystem,
-        states: Sequence[State],
         labels: Sequence[str],
         src: array,
         cmd: array,
@@ -270,7 +215,7 @@ class ReachableGraph:
         initial_count: int,
         frontier: Iterable[int],
         index: Dict[State, int] | None,
-    ) -> "ReachableGraph":
+    ) -> None:
         """Adopt already-packed exploration output.
 
         Used by the explorers (list-of-states + interner index) and by the
@@ -281,40 +226,12 @@ class ReachableGraph:
         ``index=None`` defers building the ``State → index`` map until an
         object-level lookup first needs it.
         """
-        graph = cls.__new__(cls)
-        graph._setup(
-            system=system,
-            states=tuple(states)
-            if isinstance(states, (tuple, list))
-            else states,
-            labels=list(labels),
-            src=src,
-            cmd=cmd,
-            dst=dst,
-            enabled_masks=enabled_masks,
-            initial_count=initial_count,
-            frontier=frozenset(frontier),
-            index=index,
-        )
-        return graph
-
-    def _setup(
-        self,
-        system: TransitionSystem,
-        states: Sequence[State],
-        labels: List[str],
-        src: array,
-        cmd: array,
-        dst: array,
-        enabled_masks: Sequence[int],
-        initial_count: int,
-        frontier: frozenset,
-        index: Dict[State, int] | None,
-    ) -> None:
+        if isinstance(states, list):
+            states = tuple(states)
         self._system = system
         self._states = states
         self._index = index  # None until an object-level lookup needs it
-        self._table = CommandTable(labels)
+        self._table = CommandTable(list(labels))
         self._src = src
         self._cmd = cmd
         self._dst = dst
@@ -332,7 +249,7 @@ class ReachableGraph:
         else:
             self._enabled_masks = list(enabled_masks)
         self._initial_count = initial_count
-        self._frontier = frontier
+        self._frontier = frozenset(frontier)
         #: ``column key → (path, words, typecode)`` for columns whose bytes
         #: already live in a single on-disk chunk (filled by the graph
         #: store's mmap-warm loader).  Consumers that ship columns to
@@ -916,7 +833,7 @@ def _finish_graph(
             kdst.append(dst[eid])
         src, cmd, dst = ksrc, kcmd, kdst
 
-    return ReachableGraph.from_arrays(
+    return ReachableGraph(
         system=system,
         states=states,
         labels=labels,

@@ -2,9 +2,10 @@
 
 from repro.analysis import profile_measure
 from repro.completeness import synthesize_measure
-from repro.measures import annotate, check_measure
+from repro.engine.reference import check_measure_reference
+from repro.measures import StackAssertion, annotate, check_measure
 from repro.ts import explore
-from repro.workloads import nested_rings, p2, p2_assertion
+from repro.workloads import distributed_ring, nested_rings, p2, p2_assertion
 
 
 class TestProfileMeasure:
@@ -22,6 +23,22 @@ class TestProfileMeasure:
         assert profile.subjects["T"].min_value == 0
         assert profile.subjects["T"].max_value == 4
         assert profile.active_by_command == {"la": {0: 4}, "lb": {1: 4}}
+
+    def test_word_column_tally_matches_decoded_witnesses(self):
+        # On the ring, violating and witnessed eids interleave over two
+        # levels: the word-column tally must equal the histogram over a
+        # plain list of decoded witnesses.
+        graph = explore(distributed_ring(3, 2))
+        assignment = StackAssertion.parse(["pass0", "T: w0 + w1 + w2"]).compile()
+        column = profile_measure(
+            graph, assignment, check_measure(graph, assignment)
+        )
+        listed = profile_measure(
+            graph, assignment, check_measure_reference(graph, assignment)
+        )
+        assert column.active_by_command == listed.active_by_command
+        assert len(column.active_by_command) > 1
+        assert column.describe() == listed.describe()
 
     def test_synthesised_rings_profile(self):
         graph = explore(nested_rings(2))

@@ -89,17 +89,6 @@ class TestDifferential:
         _assert_identical(streaming, materialized)
         assert not streaming.complete
 
-    def test_keep_witnesses_false(self):
-        program, assignment = p2(), p2_assertion().compile()
-        materialized = check_measure(
-            explore(program), assignment, keep_witnesses=False
-        )
-        streaming = check_measure_streaming(
-            program, assignment, keep_witnesses=False
-        )
-        _assert_identical(streaming, materialized)
-        assert not streaming.witnesses
-
 
 class TestFailFast:
     def _violating(self):
